@@ -10,8 +10,8 @@ memory costs and buys at the paper's defaults (N1 = N2 = 50, batch 1024):
    unbounded array backend's ``O(n_keys * N1)`` allocation.  The
    allocation is asserted to depend only on ``n_buckets``, never on the
    number of distinct keys.
-2. **update() throughput** — full ``NSCachingSampler.update()`` (fused
-   refresh, TransE scoring) with the bucketed backend vs the unbounded
+2. **update() throughput** — full ``NSCachingSampler.update()`` (the
+   Alg. 3 refresh, TransE scoring) with the bucketed backend vs the unbounded
    array backend.  The bucket translation adds one fancy index per batch,
    so throughput must stay within ~1.2x of unbounded.
 
@@ -102,11 +102,10 @@ def assert_allocation_independent_of_keys(n1=8, n_buckets=64):
 
 def update_throughput(backend, dataset, n1, n2, batch_size, passes=PASSES,
                       n_buckets=None):
-    """Triples/sec through the full fused ``update()`` with TransE."""
+    """Triples/sec through the full ``update()`` with TransE."""
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
-    options = {} if n_buckets is None else {"cache_options": {"n_buckets": n_buckets}}
     sampler = NSCachingSampler(
-        cache_size=n1, candidate_size=n2, cache_backend=backend, **options
+        cache_size=n1, candidate_size=n2, cache_backend=backend, n_buckets=n_buckets
     )
     sampler.bind(model, dataset, rng=SEED)
     rows = sampler.precompute_rows(dataset.train)
@@ -169,7 +168,7 @@ def render(memory_rows, throughput_rows) -> str:
         ("backend", "batch", "update() triples/s", "slowdown vs array"),
         throughput_rows,
         title=(
-            "X6b: fused update() throughput, bounded vs unbounded storage "
+            "X6b: update() throughput, bounded vs unbounded storage "
             f"(TransE d{DIM}, N1=N2={PAPER_N1})"
         ),
     )
@@ -188,7 +187,7 @@ def test_bucketed_cache_tradeoff(benchmark, report):
     report("X6", render(memory_rows, throughput_rows))
     # Bounding memory must not cost the vectorised hot path: the bucket
     # translation is one fancy index per batch, everything else is the
-    # shared fused-refresh machinery.
+    # shared Alg. 3 refresh.
     assert slowdown <= 1.2, f"bucketed update() {slowdown:.2f}x slower than array"
 
 

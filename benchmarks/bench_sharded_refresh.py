@@ -72,10 +72,10 @@ def update_throughput(dataset, *, backend, n1, n2, batch_size, passes=PASSES,
                       workers=1, n_shards=1, use_processes=True):
     """Triples/sec through the full ``update()`` with TransE scoring."""
     model = build_model("TransE", dataset, dim=DIM, seed=SEED)
-    options = {"n_shards": n_shards} if backend == "sharded-array" else None
     sampler = NSCachingSampler(
         cache_size=n1, candidate_size=n2, cache_backend=backend,
-        cache_options=options, refresh_workers=workers,
+        n_shards=n_shards if backend == "sharded-array" else None,
+        refresh_workers=workers,
         refresh_processes=use_processes,
     )
     sampler.bind(model, dataset, rng=SEED)

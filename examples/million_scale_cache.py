@@ -2,7 +2,8 @@
 
 Section VI of the paper flags cache memory as the blocker at million-scale
 and names hashing as future work.  This example compares the exact-key
-cache against hashed caches with shrinking bucket budgets on the FB15K
+cache against hashed caches (the ``bucketed-array`` engine: keys hash onto
+``n_buckets`` shared rows) with shrinking bucket budgets on the FB15K
 analogue, reporting cache memory alongside link-prediction quality — the
 trade-off a million-scale deployment would tune.
 
@@ -10,19 +11,7 @@ Run with:  python examples/million_scale_cache.py
 """
 
 from repro import TrainConfig, Trainer, TransE, evaluate, fb15k_like
-from repro.core.hashed import HashedNegativeCache
 from repro.core.nscaching import NSCachingSampler
-
-
-def hashed_factory(n_buckets: int):
-    """A cache factory for NSCachingSampler with a fixed bucket budget."""
-
-    def factory(size, n_entities, rng, store_scores=False):
-        return HashedNegativeCache(
-            size, n_entities, rng, n_buckets=n_buckets, store_scores=store_scores
-        )
-
-    return factory
 
 
 def main() -> None:
@@ -32,17 +21,15 @@ def main() -> None:
         epochs=25, batch_size=256, learning_rate=0.01, margin=2.0, seed=0
     )
 
-    settings = [("exact keys", None)] + [
-        (f"hashed {buckets} buckets", hashed_factory(buckets))
+    settings = [("exact keys", {})] + [
+        (f"hashed {buckets} buckets",
+         {"cache_backend": "bucketed-array", "n_buckets": buckets})
         for buckets in (1024, 128, 16)
     ]
     print(f"{'cache variant':22s} {'memory (KiB)':>12s} {'MRR':>8s} {'Hits@10':>8s}")
-    for label, factory in settings:
+    for label, engine in settings:
         model = TransE(dataset.n_entities, dataset.n_relations, dim=32, rng=0)
-        kwargs = {"cache_size": 30, "candidate_size": 30}
-        if factory is not None:
-            kwargs["cache_factory"] = factory
-        sampler = NSCachingSampler(**kwargs)
+        sampler = NSCachingSampler(cache_size=30, candidate_size=30, **engine)
         Trainer(model, dataset, sampler, config).run()
         metrics = evaluate(model, dataset, "test")
         memory_kib = sampler.cache_memory_bytes() / 1024

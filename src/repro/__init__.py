@@ -44,9 +44,6 @@ Quickstart::
 from repro.core import (
     ArrayNegativeCache,
     BucketedArrayCache,
-    CacheStore,
-    HashedNegativeCache,
-    NegativeCache,
     NSCachingSampler,
     SampleStrategy,
     UpdateStrategy,
@@ -119,11 +116,9 @@ __all__ = [
     "BernoulliSampler",
     "BucketIndex",
     "BucketedArrayCache",
-    "CacheStore",
     "ComplEx",
     "DistMult",
     "EmbeddingSnapshot",
-    "HashedNegativeCache",
     "HolE",
     "IGANSampler",
     "KBGANSampler",
@@ -132,7 +127,6 @@ __all__ = [
     "KeyIndex",
     "MetricsRegistry",
     "NSCachingSampler",
-    "NegativeCache",
     "NegativeSampler",
     "PredictionEngine",
     "QueryCache",

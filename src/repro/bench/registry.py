@@ -102,7 +102,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "F8",
             "Figure 8: changed cache elements and NZL vs epoch",
             "update-strategy exploration/exploitation balance",
-            ("repro.core.stats", "repro.core.cache"),
+            ("repro.core.stats", "repro.core.array_cache"),
             "benchmarks/bench_fig8_cache_updates.py",
         ),
         Experiment(
@@ -123,7 +123,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "X1",
             "Extension: memory-bounded hashed cache (paper SVI future work)",
             "quality vs bucket budget",
-            ("repro.core.hashed",),
+            ("repro.core.bucketed",),
             "benchmarks/bench_ext_hashed_cache.py",
         ),
         Experiment(
@@ -141,26 +141,19 @@ EXPERIMENTS: dict[str, Experiment] = {
             "benchmarks/bench_serve_throughput.py",
         ),
         Experiment(
-            "X4",
-            "Extension: cache-engine throughput (array vs dict backend)",
-            "gather/CE-scatter op mix and full sample+update across batch sizes and N1/N2",
-            ("repro.core.array_cache", "repro.core.cache", "repro.data.keyindex"),
-            "benchmarks/bench_cache_engine.py",
-        ),
-        Experiment(
             "X5",
-            "Extension: fused score-and-select cache refresh",
-            "update() ms/batch per scoring family: generic reference vs fused "
-            "score_candidates kernels at N1=N2=50, batch 1024",
+            "Extension: fused score_candidates kernels in the cache refresh",
+            "update() ms/batch per scoring family: the generic score_candidates "
+            "kernel vs each family's fused kernel at N1=N2=50, batch 1024",
             ("repro.models.base", "repro.core.nscaching", "repro.core.strategies"),
             "benchmarks/bench_fused_refresh.py",
         ),
         Experiment(
             "X6",
             "Extension: memory-bounded bucketed array cache (SVI on the fast path)",
-            "allocation/collision trade-off across bucket budgets and fused "
-            "update() throughput vs the unbounded array backend at N1=N2=50",
-            ("repro.core.bucketed", "repro.data.keyindex", "repro.core.store"),
+            "allocation/collision trade-off across bucket budgets and "
+            "update() throughput vs the unbounded array engine at N1=N2=50",
+            ("repro.core.bucketed", "repro.data.keyindex", "repro.core.nscaching"),
             "benchmarks/bench_bucketed_cache.py",
         ),
         Experiment(

@@ -1,9 +1,11 @@
-"""Array-backed negative cache: the NSCaching hot loop as pure numpy.
+"""The negative cache (paper §III-B) as one preallocated numpy block.
 
-The dict cache of :mod:`repro.core.cache` pays Python-level costs per key
-per batch: tuple construction, dict lookups, a per-row ``put`` loop and a
-pure-Python multiset walk for the CE metric.  This module stores the whole
-cache as one preallocated block instead::
+NSCaching maintains a *head cache* ``H`` indexed by ``(r, t)`` and a *tail
+cache* ``T`` indexed by ``(h, r)``; each entry holds ``N1`` entity ids whose
+corruptions currently score high.  Only indices are stored (§III-B3), plus
+optionally each entry's scores from its last refresh — needed only by the
+IS/top *sampling* strategies of the Figure 6(a) ablation (the paper notes
+this as their extra memory cost).  The whole cache is one block::
 
     ids    : int64  [n_keys, N1]   cached entity ids, one row per key
     scores : float64[n_keys, N1]   optional (IS/top sampling only)
@@ -12,14 +14,13 @@ cache as one preallocated block instead::
 Rows are addressed by the dense indices of a
 :class:`~repro.data.keyindex.KeyIndex` (attached once at bind time), so a
 batch access is a single fancy-index ``gather`` and a refresh is a single
-``scatter`` — zero per-row Python.  Lazy random initialisation draws from
-the generator in first-occurrence order, which keeps the RNG stream
-bit-identical to the dict cache's per-key draws: both backends produce the
-same training trajectory from the same seed.
+``scatter`` — zero per-row Python.  Entries are created lazily with
+uniformly random entities the first time a key is touched (the "from
+scratch" initialisation the paper trains with), drawing from the generator
+in first-occurrence order.
 
 The CE metric (changed cache elements, Figure 8) is computed for a whole
-batch at once by :func:`multiset_overlap_rows`, an exact vectorised
-replacement for the per-entry Python merge walk.
+batch at once by :func:`multiset_overlap_rows`.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ def _occurrence_rank(sorted_rows: np.ndarray) -> np.ndarray:
 def multiset_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise multiset intersection sizes of two ``[B, N]`` id arrays.
 
-    Exact vectorised equivalent of running
-    :func:`repro.core.cache._multiset_overlap` on every row pair.
+    Row ``i`` of the result is ``|Counter(a[i]) & Counter(b[i])|``.
 
     Method: tag every element with its occurrence rank among equal values
     in its (sorted) row.  ``(row, value, rank)`` records are unique within
@@ -104,19 +104,11 @@ def multiset_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class ArrayNegativeCache:
-    """A preallocated, fully vectorised negative cache (CacheStore).
+    """A preallocated, fully vectorised negative cache.
 
-    Construction mirrors :class:`~repro.core.cache.NegativeCache` (so both
-    fit the same ``cache_factory`` signature); storage is allocated when a
-    :class:`~repro.data.keyindex.KeyIndex` is attached, which fixes the
-    number of rows.
+    Storage is allocated when a :class:`~repro.data.keyindex.KeyIndex` is
+    attached, which fixes the number of rows.
     """
-
-    #: This backend honours a caller-derived ``changed=`` CE hint on
-    #: :meth:`scatter` (skipping the multiset sort).  Callers check this
-    #: before paying for the derivation — the dict backends recount
-    #: regardless, so computing a hint for them would be pure waste.
-    consumes_changed_hint = True
 
     def __init__(
         self,
@@ -216,9 +208,8 @@ class ArrayNegativeCache:
     def _materialise(self, rows: np.ndarray) -> None:
         """Random-init any not-yet-live rows, in first-occurrence order.
 
-        First-occurrence order (not sorted order) matters: it makes the
-        generator consume draws exactly as the dict cache's lazy per-key
-        ``get`` does, keeping the two backends bit-identical under a seed.
+        First-occurrence order (not sorted order) is part of the pinned
+        trajectory: it fixes which generator draws land in which row.
         """
         assert self._ids is not None and self._live is not None
         pending = rows[~self._live[rows]]
@@ -266,11 +257,11 @@ class ArrayNegativeCache:
     ) -> int:
         """Replace the entries at ``rows``; returns #elements that changed.
 
-        Semantically equivalent to calling the dict cache's ``put`` once
-        per row in order: when a batch repeats a row, each write's CE is
-        counted against the *previous* write, and the last write wins.
+        Semantically equivalent to writing the rows one at a time, in
+        order: when a batch repeats a row, each write's CE is counted
+        against the *previous* write, and the last write wins.
 
-        ``changed`` is an optional caller-derived CE count (the fused
+        ``changed`` is an optional caller-derived CE count (the Alg. 3
         refresh computes it from the selection's column structure, see
         :func:`~repro.core.strategies.selection_changed_elements`).  When
         given, the scatter-side multiset sort is skipped entirely; the
@@ -395,8 +386,7 @@ class ArrayNegativeCache:
     def memory_bytes(self) -> int:
         """Bytes held by *initialised* entries (the paper's O(|S|·N1) figure).
 
-        Comparable across backends; :meth:`allocated_bytes` reports the
-        preallocated block.
+        :meth:`allocated_bytes` reports the preallocated block.
         """
         per_row = self.size * 8 * (2 if self.store_scores else 1)
         return self.n_entries * per_row
@@ -412,6 +402,10 @@ class ArrayNegativeCache:
         """Zero the CE / initialisation counters (per-epoch accounting)."""
         self.changed_elements = 0
         self.initialised_entries = 0
+
+    def close(self) -> None:
+        """Release external storage; a no-op for heap-allocated blocks
+        (the sharded engine unlinks its shared-memory segments here)."""
 
     def __len__(self) -> int:
         return self.n_entries

@@ -1,20 +1,21 @@
-"""Memory-bounded bucketed array cache — §VI hashing on the fast path.
+"""Memory-bounded bucketed array cache — the paper's §VI hashing direction.
 
-:class:`~repro.core.hashed.HashedNegativeCache` implements the paper's
-hashing answer to cache memory, but over the slow per-key dict machinery.
-This backend ports the same bucket scheme onto the preallocated array
-engine: storage is ``int64[n_buckets, N1]`` (+ optional scores) no matter
-how many distinct keys the training split has, and every access stays a
-single fancy index because the key→bucket map is precomputed by a
+"When dealing with millions scale KG, memory of storing the cache becomes
+a problem.  Using distributed computation or *hashing* will be pursued as
+future works."  This engine maps cache keys onto a fixed number of
+buckets: storage is ``int64[n_buckets, N1]`` (+ optional scores) no matter
+how many distinct keys the training split has.  Colliding keys share one
+entry, trading sampling precision for bounded memory (the extension
+benchmark measures that trade-off).  Every access stays a single fancy
+index because the key→bucket map is precomputed by a
 :class:`~repro.data.keyindex.BucketIndex` (one vectorised
 :func:`~repro.data.keyindex.stable_key_hash` pass at attach time).
 
-Colliding keys share a row exactly as the dict-hashed backend's colliding
-keys share an entry — same hash, same buckets, same RNG consumption — so
-the two backends are bit-identical under a fixed seed (enforced by the
-parity suite in ``tests/integration/test_backend_parity.py``).  The
-bucket row-space is also the seam the ROADMAP sharding items will split:
-shards own disjoint bucket ranges regardless of the key distribution.
+Behaviour is exactly that of :class:`~repro.core.array_cache.ArrayNegativeCache`
+over the bucket rows: a batch that writes two colliding keys is a batch
+that repeats a row.  The bucket row-space is also what the sharded engine
+splits: shards own disjoint bucket ranges regardless of the key
+distribution.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class BucketedArrayCache(ArrayNegativeCache):
         Keys of one batch that collide into the same bucket follow the
         repeated-row semantics of the array engine: each write's CE is
         counted against the previous write and the last write wins —
-        exactly the dict-hashed backend's sequential ``put`` behaviour.
+        exactly as if the keys were written one at a time.
         A caller-derived ``changed`` hint is only valid when the *bucket*
         rows are unique, which is what callers must check via
         :meth:`storage_rows`.
@@ -97,8 +98,7 @@ class BucketedArrayCache(ArrayNegativeCache):
         return super().scatter(self._bucket_rows(rows), ids, scores, changed=changed)
 
     # -- key-addressed access (probing / callbacks) ----------------------------
-    # Hashing serves *any* key, not just indexed ones, matching the
-    # dict-hashed backend's reachability.
+    # Hashing serves *any* key, not just indexed ones.
     def get(self, key: tuple[int, int]) -> np.ndarray:
         """Cached ids for ``key``'s bucket (shared across colliding keys)."""
         self._require_index()
@@ -121,8 +121,8 @@ class BucketedArrayCache(ArrayNegativeCache):
         return bool(self._live[self._buckets.bucket_of(key)])
 
     def keys(self) -> list[tuple[int, int]]:
-        """Synthetic ``(bucket, 0)`` keys of all materialised buckets (the
-        dict-hashed backend's bucket keys; real keys are many-to-one)."""
+        """Synthetic ``(bucket, 0)`` keys of all materialised buckets (real
+        keys map many-to-one onto buckets)."""
         if self._live is None:
             return []
         return [(int(bucket), 0) for bucket in np.flatnonzero(self._live)]

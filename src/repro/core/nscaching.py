@@ -19,21 +19,23 @@ dividing its cost by ``n + 1`` (Table I).
 Hot-loop layout: at :meth:`bind` time the distinct cache keys of the
 training split are enumerated once into a
 :class:`~repro.data.keyindex.TripleKeyIndex`, and both caches are
-addressed by dense row indices through the
-:class:`~repro.core.store.CacheStore` protocol.  A batch access is then
-one vectorised ``gather`` and a refresh one ``scatter`` — no per-triple
-Python tuples or loops.  The trainer can precompute the row indices of the
-whole split once (:meth:`precompute_rows`) and pass per-batch slices in.
+:class:`~repro.core.array_cache.ArrayNegativeCache` engines addressed by
+dense row indices.  A batch access is then one vectorised ``gather`` and a
+refresh one ``scatter`` — no per-triple Python tuples or loops.  The
+trainer can precompute the row indices of the whole split once
+(:meth:`precompute_rows`) and pass per-batch slices in.  ``cache_backend``
+picks the engine's storage: ``array`` (one row per key), ``bucketed-array``
+(§VI bounded memory: keys hash onto ``n_buckets`` shared rows) or
+``sharded-array`` (either scheme in shared memory, split into ``n_shards``
+for the parallel refresh).
 
-The refresh itself (Alg. 3) runs **fused** by default: the candidate
-union is assembled in a persistent per-sampler buffer, scored in one shot
-through the model's :meth:`~repro.models.base.KGEModel.score_candidates`
-kernel, and the top-``N1`` survivors go straight from ``argpartition``
-into the cache ``scatter`` — no intermediate concatenate/score-gather
-copies.  ``fused=False`` keeps the step-by-step reference orchestration;
-both paths consume the generator identically and call the same scoring
-kernel, so they are bit-identical under a fixed seed (enforced by the
-parity suite in ``tests/integration/test_backend_parity.py``).
+The refresh itself (Alg. 3) is one function, :func:`refresh_rows`, shared
+by the sequential path and the refresh pool's workers: the candidate union
+is assembled in one block, scored in one shot through the model's
+:meth:`~repro.models.base.KGEModel.score_candidates` kernel, and the
+top-``N1`` survivors go straight from ``argpartition`` into the cache
+``scatter``.  Committed golden trajectories
+(``tests/goldens/engine_goldens.npz``) pin its results under a seed.
 
 With ``refresh_workers >= 2`` (and the ``sharded-array`` backend) the
 refresh instead runs on a :class:`~repro.parallel.pool.RefreshPool`:
@@ -57,19 +59,15 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # runtime imports stay lazy to keep repro.parallel optional
-    from repro.parallel.pool import ShardResult, ShardTask, SyncReport
+    from repro.parallel.pool import RefreshPool, ShardResult, ShardTask, SyncReport
 
 import numpy as np
 
-from repro.core.store import (
-    CacheStore,
-    cache_backend_names,
-    make_cache_backend,
-    validate_backend_options,
-)
+from repro.core.array_cache import ArrayNegativeCache
+from repro.core.bucketed import BucketedArrayCache
 from repro.core.strategies import (
     SampleStrategy,
     UpdateStrategy,
@@ -86,11 +84,148 @@ from repro.obs.trace import Tracer
 from repro.sampling.base import NegativeSampler
 from repro.utils.timer import Timer
 
-__all__ = ["BatchRows", "NSCachingSampler"]
+__all__ = [
+    "BatchRows",
+    "CACHE_ENGINES",
+    "NSCachingSampler",
+    "check_cache_engine",
+    "make_cache",
+    "refresh_rows",
+]
 
-CacheFactory = Callable[..., CacheStore]
+#: The cache storage schemes ``cache_backend`` selects between.
+CACHE_ENGINES: tuple[str, ...] = ("array", "bucketed-array", "sharded-array")
 
 _NULL_CONTEXT = nullcontext()
+
+
+def check_cache_engine(
+    backend: str, n_buckets: int | None = None, n_shards: int | None = None
+) -> None:
+    """Raise ``ValueError`` for an unknown engine or a bad option for it.
+
+    ``n_buckets`` applies to ``bucketed-array`` and ``sharded-array`` (which
+    then shards the bucket scheme), ``n_shards`` only to ``sharded-array``;
+    both must be integers >= 1.  Called at sampler construction, so a bad
+    ``--n-buckets``/``--n-shards`` fails before any data is loaded.
+    """
+    if backend not in CACHE_ENGINES:
+        raise ValueError(
+            f"cache_backend must be one of {CACHE_ENGINES}, got {backend!r}"
+        )
+    for name, value, backends in (
+        ("n_buckets", n_buckets, ("bucketed-array", "sharded-array")),
+        ("n_shards", n_shards, ("sharded-array",)),
+    ):
+        if value is None:
+            continue
+        if backend not in backends:
+            raise ValueError(
+                f"cache backend {backend!r} does not accept {name}; "
+                f"it applies to {' / '.join(backends)}"
+            )
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {int(value)}")
+
+
+def make_cache(
+    backend: str,
+    size: int,
+    n_entities: int,
+    rng: np.random.Generator | int | None = None,
+    *,
+    store_scores: bool = False,
+    n_buckets: int | None = None,
+    n_shards: int | None = None,
+) -> ArrayNegativeCache:
+    """The cache engine ``backend`` names, with its options checked.
+
+    ``sharded-array`` shards the bucket scheme when ``n_buckets`` is given
+    and the one-row-per-key scheme otherwise; ``bucketed-array`` defaults
+    to 1024 buckets.
+    """
+    check_cache_engine(backend, n_buckets, n_shards)
+    if backend == "sharded-array":
+        from repro.parallel.sharded import (
+            ShardedArrayCache,
+            ShardedBucketedArrayCache,
+        )
+
+        shards = 1 if n_shards is None else int(n_shards)
+        if n_buckets is None:
+            return ShardedArrayCache(
+                size, n_entities, rng, n_shards=shards, store_scores=store_scores
+            )
+        return ShardedBucketedArrayCache(
+            size, n_entities, rng, n_shards=shards,
+            n_buckets=int(n_buckets), store_scores=store_scores,
+        )
+    if backend == "bucketed-array":
+        return BucketedArrayCache(
+            size, n_entities, rng, store_scores=store_scores,
+            n_buckets=1024 if n_buckets is None else int(n_buckets),
+        )
+    return ArrayNegativeCache(size, n_entities, rng, store_scores=store_scores)
+
+
+def refresh_rows(
+    cache: ArrayNegativeCache,
+    rows: np.ndarray,
+    storage_rows: np.ndarray,
+    anchors: np.ndarray,
+    relations: np.ndarray,
+    mode: str,
+    model: KGEModel,
+    *,
+    n_entities: int,
+    candidate_size: int,
+    update_strategy: UpdateStrategy,
+    rng: np.random.Generator,
+    union: np.ndarray | None = None,
+    score_timer: Timer | None = None,
+) -> int:
+    """Algorithm 3 for one cache side, vectorised over ``rows``; returns CE.
+
+    The cached entries and ``candidate_size`` fresh uniform draws land in
+    one ``[B, N1+N2]`` union block (``union``, a caller-owned buffer, or a
+    new one), the block is scored once through ``model.score_candidates``
+    (the corruptions of ``(anchor, relation)`` on the ``mode`` side), and
+    the ``N1`` survivors go from the selection straight into the cache
+    ``scatter``, with the CE count derived from the selection's column
+    structure where that is exact.  ``storage_rows`` are ``rows`` as the
+    cache stores them (:meth:`~ArrayNegativeCache.storage_rows`).
+
+    Non-finite candidate scores raise ``ValueError`` before anything is
+    written: softmax selection over NaN/inf picks arbitrary ids.
+
+    Both the sequential refresh and the refresh pool's workers run this
+    function; ``select_cache_survivors`` and ``selection_changed_elements``
+    are looked up in this module at call time.
+    """
+    n1 = cache.size
+    if union is None:
+        union = np.empty((len(rows), n1 + candidate_size), dtype=np.int64)
+    union[:, :n1] = cache.gather(rows)
+    union[:, n1:] = rng.integers(
+        0, n_entities, size=(len(rows), candidate_size), dtype=np.int64
+    )
+    with score_timer if score_timer is not None else _NULL_CONTEXT:
+        scores = model.score_candidates(anchors, relations, union, mode)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise ValueError(
+            f"{mode} cache refresh: {finite.size - int(np.count_nonzero(finite))} "
+            f"of {finite.size} candidate scores are non-finite (diverged "
+            "parameters?); refusing to refresh the cache from them"
+        )
+    selection = select_cache_survivors(
+        union, scores, n1, update_strategy, rng,
+        return_scores=cache.store_scores, return_selection=True,
+    )
+    changed = selection_changed_elements(selection, storage_rows, n1)
+    return cache.scatter(rows, selection.ids, selection.scores, changed=changed)
 
 
 class _RefreshMetrics:
@@ -208,9 +343,8 @@ class NSCachingSampler(NegativeSampler):
         lazy_epochs: int = 0,
         bernoulli: bool = True,
         cache_backend: str = "array",
-        cache_options: Mapping[str, object] | None = None,
-        cache_factory: CacheFactory | None = None,
-        fused: bool = True,
+        n_buckets: int | None = None,
+        n_shards: int | None = None,
         refresh_workers: int = 1,
         refresh_processes: bool = True,
         refresh_period: int = 1,
@@ -233,27 +367,19 @@ class NSCachingSampler(NegativeSampler):
         bernoulli:
             Use the relation-aware head/tail coin (paper §IV-B1).
         cache_backend:
-            A registered backend name: ``"array"`` (vectorised, default),
-            ``"dict"`` (the original per-key store), or the
-            memory-bounded §VI pair ``"bucketed-array"`` (vectorised) /
-            ``"hashed"`` (dict reference).  Same-scheme backends yield
-            bit-identical training under a fixed seed; array variants are
-            the fast paths.
-        cache_options:
-            Backend-specific constructor options forwarded to
-            :func:`~repro.core.store.make_cache_backend` — e.g.
-            ``{"n_buckets": 4096}`` for the memory-bounded backends.
-            Validated here so an unsupported option fails before binding.
-        cache_factory:
-            Alternative cache constructor for unregistered backends.
-            Overrides ``cache_backend`` (and rejects ``cache_options``).
-        fused:
-            Run the Alg. 3 refresh through the fused score-and-select
-            path (default).  ``False`` keeps the unfused reference
-            orchestration — same kernels, same RNG stream, bit-identical
-            results; it exists for parity testing and benchmarking.
-            Sequential path only: rejected with ``refresh_workers > 1``
-            (pool workers always run the fused kernel).
+            The cache engine's storage, one of :data:`CACHE_ENGINES`:
+            ``"array"`` (one row per key, default), ``"bucketed-array"``
+            (the §VI memory bound: keys hash onto ``n_buckets`` shared
+            rows) or ``"sharded-array"`` (shared memory split into
+            ``n_shards``, required by ``refresh_workers > 1``).  With one
+            refresh worker the sharded engine trains bit-identically to
+            its unsharded scheme under a fixed seed.
+        n_buckets:
+            Bucket rows for ``bucketed-array`` (default 1024), or for
+            ``sharded-array``, which then shards the bucket scheme.
+            Cache memory becomes ``O(n_buckets * N1)``.
+        n_shards:
+            Shards of the ``sharded-array`` row-space (default 1).
         refresh_workers:
             ``>= 2`` runs cache refreshes on a
             :class:`~repro.parallel.pool.RefreshPool` of that many worker
@@ -304,19 +430,12 @@ class NSCachingSampler(NegativeSampler):
             raise ValueError(f"lazy_epochs must be >= 0, got {lazy_epochs}")
         if refresh_workers < 1:
             raise ValueError(f"refresh_workers must be >= 1, got {refresh_workers}")
-        if refresh_workers > 1 and (
-            cache_factory is not None or cache_backend != "sharded-array"
-        ):
+        check_cache_engine(cache_backend, n_buckets, n_shards)
+        if refresh_workers > 1 and cache_backend != "sharded-array":
             raise ValueError(
                 "refresh_workers > 1 requires cache_backend='sharded-array' "
                 "(worker processes need shared-memory storage and a shard "
                 f"plan); got backend {cache_backend!r}"
-            )
-        if refresh_workers > 1 and not fused:
-            raise ValueError(
-                "refresh_workers > 1 always runs the fused refresh kernel in "
-                "its workers; fused=False (--no-fused-refresh) only applies "
-                "to the sequential path"
             )
         if refresh_period < 1:
             raise ValueError(
@@ -327,35 +446,22 @@ class NSCachingSampler(NegativeSampler):
                 "refresh_overlap requires refresh_workers >= 2 (the overlap "
                 "dispatch/collect pipeline only exists on the pooled path)"
             )
-        if cache_factory is None:
-            if cache_backend not in cache_backend_names():
-                raise ValueError(
-                    f"cache_backend must be one of {cache_backend_names()}, "
-                    f"got {cache_backend!r}"
-                )
-            validate_backend_options(cache_backend, dict(cache_options or {}))
-        elif cache_options:
-            raise ValueError(
-                "cache_options only applies to registered backends; pass "
-                "them to your cache_factory directly"
-            )
         self.cache_size = int(cache_size)
         self.candidate_size = int(candidate_size)
         self.sample_strategy = SampleStrategy(sample_strategy)
         self.update_strategy = UpdateStrategy(update_strategy)
         self.lazy_epochs = int(lazy_epochs)
-        self.cache_backend = cache_backend if cache_factory is None else "custom"
-        self.cache_options: dict[str, object] = dict(cache_options or {})
-        self._cache_factory = cache_factory
-        self.fused = bool(fused)
+        self.cache_backend = cache_backend
+        self.n_buckets = n_buckets
+        self.n_shards = n_shards
         self.refresh_workers = int(refresh_workers)
         self.refresh_processes = bool(refresh_processes)
         self.refresh_period = int(refresh_period)
         self.refresh_overlap = bool(refresh_overlap)
         self.dirty_sync = bool(dirty_sync)
         self.key_index: TripleKeyIndex | None = None
-        self.head_cache: CacheStore | None = None
-        self.tail_cache: CacheStore | None = None
+        self.head_cache: ArrayNegativeCache | None = None
+        self.tail_cache: ArrayNegativeCache | None = None
         #: Optional stopwatch the trainer attaches under ``--profile`` to
         #: time candidate scoring separately from the rest of the refresh.
         self.score_timer: Timer | None = None
@@ -371,26 +477,23 @@ class NSCachingSampler(NegativeSampler):
         self.tracer: Tracer | None = None
         self._metrics: MetricsRegistry | None = None
         self._mh: _RefreshMetrics | None = None  # pre-resolved handles
-        self._union: np.ndarray | None = None  # fused-path candidate buffer
-        self._pool = None  # RefreshPool, created lazily on first parallel update
+        self._union: np.ndarray | None = None  # sequential candidate buffer
+        self._pool: RefreshPool | None = None  # created on first parallel update
         self._pool_seed: int | None = None
         self._epoch_batch = 0  # per-epoch update counter for task streams
         #: Modes of the in-flight overlapped dispatch (None = nothing pending).
         self._pending_modes: tuple[str, ...] | None = None
 
     # -- lifecycle ------------------------------------------------------------
-    def _make_cache(self, n_entities: int, store_scores: bool) -> CacheStore:
-        if self._cache_factory is not None:
-            return self._cache_factory(
-                self.cache_size, n_entities, self.rng, store_scores=store_scores
-            )
-        return make_cache_backend(
+    def _make_cache(self, n_entities: int, store_scores: bool) -> ArrayNegativeCache:
+        return make_cache(
             self.cache_backend,
             self.cache_size,
             n_entities,
             self.rng,
             store_scores=store_scores,
-            **self.cache_options,
+            n_buckets=self.n_buckets,
+            n_shards=self.n_shards,
         )
 
     def bind(
@@ -438,9 +541,8 @@ class NSCachingSampler(NegativeSampler):
             self._pool.close()
             self._pool = None
         for cache in (self.head_cache, self.tail_cache):
-            release = getattr(cache, "close", None)
-            if callable(release):
-                release()
+            if cache is not None:
+                cache.close()
 
     def on_epoch_start(self, epoch: int) -> None:
         """Epoch notification; also restarts the per-epoch batch counter."""
@@ -494,7 +596,7 @@ class NSCachingSampler(NegativeSampler):
         ``batch`` must come from the training split the sampler was bound
         to: cache storage is preallocated per distinct train-split key, so
         a triple whose ``(r, t)`` / ``(h, r)`` pair never occurs in train
-        raises ``KeyError`` (the dict backend shares this contract).
+        raises ``KeyError``.
         """
         self._require_bound()
         assert self.head_cache is not None and self.tail_cache is not None
@@ -576,78 +678,32 @@ class NSCachingSampler(NegativeSampler):
             else:
                 self._refresh_side(batch, side_rows, mode)
 
-    def _score_union(
-        self, batch: np.ndarray, union: np.ndarray, mode: str
-    ) -> np.ndarray:
-        """Score the candidate union with the model's fused kernel."""
-        anchors = batch[:, TAIL] if mode == "head" else batch[:, HEAD]
-        if self.score_timer is not None:
-            with self.score_timer:
-                return self.model.score_candidates(anchors, batch[:, REL], union, mode)
-        return self.model.score_candidates(anchors, batch[:, REL], union, mode)
-
     def _union_buffer(self, n_rows: int) -> np.ndarray:
-        """Persistent ``[B, N1+N2]`` block the fused refresh assembles into."""
+        """Persistent ``[B, N1+N2]`` block the sequential refresh fills."""
         width = self.cache_size + self.candidate_size
         if self._union is None or self._union.shape[0] < n_rows:
             self._union = np.empty((n_rows, width), dtype=np.int64)
         return self._union[:n_rows]
 
     def _refresh_side(self, batch: np.ndarray, rows: np.ndarray, mode: str) -> None:
-        """Run Algorithm 3 for one cache, vectorised over the batch.
-
-        Fused path: cache entries and fresh draws land directly in the
-        persistent union buffer, the block is scored once through
-        ``score_candidates``, and survivors go from ``argpartition``
-        straight into ``scatter`` (scores are only gathered when the
-        cache co-stores them).  The unfused path keeps the reference
-        concatenate → score → select → scatter orchestration; both draw
-        from the generator identically, so results are bit-identical.
-        """
+        """Run Algorithm 3 for one cache on the sampler's own stream."""
         assert self.head_cache is not None and self.tail_cache is not None
         cache = self.head_cache if mode == "head" else self.tail_cache
-        n1, n2 = self.cache_size, self.candidate_size
-
-        if self.fused:
-            union = self._union_buffer(len(batch))
-            union[:, :n1] = cache.gather(rows)
-            union[:, n1:] = self.rng.integers(
-                0, self.dataset.n_entities, size=(len(batch), n2), dtype=np.int64
-            )
-            scores = self._score_union(batch, union, mode)
-            selection = select_cache_survivors(
-                union, scores, n1, self.update_strategy, self.rng,
-                return_scores=cache.store_scores, return_selection=True,
-            )
-            # CE from the selection's column structure — no scatter-side
-            # multiset sort.  None (duplicate-filled rows / repeated
-            # storage rows) falls back to the sorted reference counting.
-            # Only backends that honour the hint pay for the derivation:
-            # the dict backends recount regardless (keeping the sorted
-            # path agreement-tested), so they take the plain scatter.
-            if getattr(cache, "consumes_changed_hint", False):
-                changed = selection_changed_elements(
-                    selection, cache.storage_rows(rows), n1
-                )
-                ce = cache.scatter(
-                    rows, selection.ids, selection.scores, changed=changed
-                )
-            else:
-                ce = cache.scatter(rows, selection.ids, selection.scores)
-            if self._mh is not None:
-                self._observe_refresh(mode, len(batch), ce)
-            return
-
-        current = cache.gather(rows)  # [B, N1]
-        fresh = self.rng.integers(
-            0, self.dataset.n_entities, size=(len(batch), n2), dtype=np.int64
+        ce = refresh_rows(
+            cache,
+            rows,
+            cache.storage_rows(rows),
+            batch[:, TAIL] if mode == "head" else batch[:, HEAD],
+            batch[:, REL],
+            mode,
+            self.model,
+            n_entities=self.dataset.n_entities,
+            candidate_size=self.candidate_size,
+            update_strategy=self.update_strategy,
+            rng=self.rng,
+            union=self._union_buffer(len(batch)),
+            score_timer=self.score_timer,
         )
-        union = np.concatenate([current, fresh], axis=1)  # [B, N1+N2]
-        scores = self._score_union(batch, union, mode)
-        new_ids, new_scores = select_cache_survivors(
-            union, scores, n1, self.update_strategy, self.rng
-        )
-        ce = cache.scatter(rows, new_ids, new_scores if cache.store_scores else None)
         if self._mh is not None:
             self._observe_refresh(mode, len(batch), ce)
 
@@ -661,7 +717,7 @@ class NSCachingSampler(NegativeSampler):
         h.changed[mode].inc(changed)
 
     # -- parallel refresh (repro.parallel) -----------------------------------------
-    def _ensure_pool(self) -> None:
+    def _ensure_pool(self) -> RefreshPool:
         """Create (and lazily start) the refresh pool on first parallel use."""
         if self._pool is None:
             from repro.parallel.pool import RefreshPool
@@ -773,7 +829,7 @@ class NSCachingSampler(NegativeSampler):
     ) -> None:
         """Refresh via the worker pool: one task per (mode, touched shard).
 
-        Workers run the same fused kernel against the shared storage and
+        Workers run :func:`refresh_rows` against the shared storage and
         report CE / initialisation deltas, which are folded back into the
         stores' counters so ``changed_elements()`` and Figure 8 stay
         backend-agnostic.  With :attr:`refresh_overlap` only the dispatch
@@ -860,13 +916,15 @@ class NSCachingSampler(NegativeSampler):
     def cache_stats(self) -> dict[str, object]:
         """Cache introspection: key counts, memory, bucket collisions.
 
-        Always present: the backend name, per-side distinct key counts and
-        the materialised ``memory_bytes``.  The array backends add
-        ``allocated_bytes`` (preallocated block — ``O(n_buckets * N1)``
-        for the bucketed backend, independent of the key count); the
-        memory-bounded pair adds the per-side load factor and number of
-        colliding keys.
+        Always present: the backend name, per-side distinct key counts,
+        the materialised ``memory_bytes``, the preallocated
+        ``allocated_bytes`` (``O(n_buckets * N1)`` for the bucketed scheme,
+        independent of the key count) and the per-side live fraction.  The
+        bucketed scheme adds the per-side load factor and number of
+        colliding keys; the sharded engine its per-shard occupancy.
         """
+        from repro.parallel.sharded import ShardedCacheStore
+
         self._require_bound()
         assert self.key_index is not None
         assert self.head_cache is not None and self.tail_cache is not None
@@ -875,26 +933,22 @@ class NSCachingSampler(NegativeSampler):
             "head_keys": self.key_index.head.n_keys,
             "tail_keys": self.key_index.tail.n_keys,
             "memory_bytes": self.cache_memory_bytes(),
+            "allocated_bytes": (
+                self.head_cache.allocated_bytes() + self.tail_cache.allocated_bytes()
+            ),
         }
-        sides = (("head", self.head_cache), ("tail", self.tail_cache))
-        allocated = [
-            getattr(cache, "allocated_bytes", None) for _, cache in sides
-        ]
-        if all(callable(fn) for fn in allocated):
-            stats["allocated_bytes"] = sum(fn() for fn in allocated)
-        for side, cache in sides:
-            for attr in ("live_fraction", "load_factor", "n_colliding_keys"):
-                fn = getattr(cache, attr, None)
-                if callable(fn):
-                    stats[f"{side}_{attr}"] = fn()
+        for side, cache in (("head", self.head_cache), ("tail", self.tail_cache)):
+            stats[f"{side}_live_fraction"] = cache.live_fraction()
+            if isinstance(cache, BucketedArrayCache):
+                stats[f"{side}_load_factor"] = cache.load_factor()
+                stats[f"{side}_n_colliding_keys"] = cache.n_colliding_keys()
             # Sharded stores: per-shard occupancy (live rows) and key
             # ownership, compacted to `a/b/c` strings for the CLI table.
             # After close() the plan is gone — skip rather than crash.
-            occupancy = getattr(cache, "shard_occupancy", None)
-            if callable(occupancy) and getattr(cache, "plan", None) is not None:
+            if isinstance(cache, ShardedCacheStore) and cache.plan is not None:
                 stats[f"{side}_shards"] = cache.plan.n_shards
                 stats[f"{side}_shard_live_rows"] = "/".join(
-                    str(int(n)) for n in occupancy()
+                    str(int(n)) for n in cache.shard_occupancy()
                 )
                 stats[f"{side}_shard_keys"] = "/".join(
                     str(int(n)) for n in cache.shard_key_ownership()
@@ -942,6 +996,6 @@ class NSCachingSampler(NegativeSampler):
         return (
             f"NSCachingSampler(N1={self.cache_size}, N2={self.candidate_size}, "
             f"sample={self.sample_strategy.value}, update={self.update_strategy.value}, "
-            f"lazy={self.lazy_epochs}, backend={self.cache_backend}, "
-            f"fused={self.fused}{workers}{period})"
+            f"lazy={self.lazy_epochs}, backend={self.cache_backend}"
+            f"{workers}{period})"
         )

@@ -145,7 +145,7 @@ def selection_changed_elements(
 ) -> int | None:
     """CE of scattering ``selection`` back, derived from column structure.
 
-    The fused refresh gathers the cache entry into union columns
+    The Alg. 3 refresh gathers the cache entry into union columns
     ``[0, n_keep)`` and fresh draws into the rest, then selects with
     within-row duplicates suppressed.  A survivor taken from a column
     ``< n_keep`` is therefore an entity that was already cached, and one

@@ -12,9 +12,9 @@ provides the three pieces:
 * :class:`~repro.parallel.sharded.ShardedCacheStore` — the
   ``sharded-array`` cache backend: the array engine's storage moved into
   ``multiprocessing.shared_memory`` with a shard plan overlaid,
-  bit-identical to the unsharded backends under a seed;
+  bit-identical to the unsharded engines under a seed;
 * :class:`~repro.parallel.pool.RefreshPool` — persistent worker
-  processes running the fused score-and-select refresh per shard against
+  processes running the shared Alg. 3 refresh per shard against
   the shared storage, with deterministic per-``(mode, shard, epoch,
   batch)`` RNG streams and a bit-identical in-process fallback.
 
@@ -30,7 +30,6 @@ from repro.parallel.sharded import (
     ShardedBucketedArrayCache,
     ShardedCacheStore,
     SharedArrayBlock,
-    make_sharded_cache,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "ShardedCacheStore",
     "SharedArrayBlock",
     "SyncReport",
-    "make_sharded_cache",
 ]

@@ -5,10 +5,10 @@ row-space is sharded: every shard's slice of the batch reads and writes a
 disjoint contiguous row range of the shared-memory storage
 (:mod:`repro.parallel.sharded`), so the pool simply ships each slice —
 anchor/relation ids plus storage rows, a few KiB — to a persistent worker
-process and lets it run the *same* fused score-and-select kernel the
-sequential path uses, scattering survivors straight back into shared
-memory.  Worker processes are forked once and live for the whole
-training run.
+process and lets it run the *same* refresh function the sequential path
+uses (:func:`repro.core.nscaching.refresh_rows`), scattering survivors
+straight back into shared memory.  Worker processes are forked once and
+live for the whole training run.
 
 Keeping workers on current embeddings costs one parameter publish per
 refresh (:meth:`RefreshPool.sync_params`).  Two mechanisms keep that
@@ -40,7 +40,7 @@ caches and training trajectory.  Note this stream layout differs from
 the sequential single-stream path: parallel refresh (>= 2 workers) is a
 *deterministic sibling* of sequential training, not a bit-identical twin;
 with 1 worker the sampler keeps the sequential path, which is
-bit-identical to the plain ``array`` backend.
+bit-identical to the plain ``array`` engine.
 """
 
 from __future__ import annotations
@@ -56,11 +56,8 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.core.array_cache import ArrayNegativeCache
-from repro.core.strategies import (
-    UpdateStrategy,
-    select_cache_survivors,
-    selection_changed_elements,
-)
+from repro.core.nscaching import refresh_rows
+from repro.core.strategies import UpdateStrategy
 from repro.models.base import CANDIDATE_MODES, KGEModel
 from repro.parallel.dirty import DirtyRowTracker
 from repro.parallel.sharded import ShardedCacheStore, SharedArrayBlock
@@ -153,14 +150,6 @@ class _TaskFailure:
     message: str
 
 
-@dataclass
-class _SideState:
-    """Per-mode worker view: a row-addressed cache over the shared blocks."""
-
-    view: ArrayNegativeCache
-    n1: int
-
-
 class _WorkerState:
     """Everything a refresh worker needs; built pre-fork, inherited.
 
@@ -186,7 +175,7 @@ class _WorkerState:
         self,
         models: tuple[KGEModel, ...],
         buffer_flag: np.ndarray,
-        sides: dict[str, _SideState],
+        sides: dict[str, ArrayNegativeCache],
         n_entities: int,
         candidate_size: int,
         update_strategy: UpdateStrategy,
@@ -221,7 +210,7 @@ class _WorkerState:
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
     def run(self, task: ShardTask) -> ShardResult:
-        """Fused Alg. 3 refresh of one shard slice, against shared storage."""
+        """Alg. 3 refresh of one shard slice, against shared storage."""
         queue_wait = (
             max(0.0, time.monotonic() - task.enqueued_at)
             if task.enqueued_at > 0.0
@@ -255,27 +244,24 @@ class _WorkerState:
             )
         started = time.perf_counter()
         model = self.models[int(self.buffer_flag[0])]
-        side = self.sides[task.mode]
-        cache = side.view
+        cache = self.sides[task.mode]
+        # Lazy initialisation inside gather draws from the task stream too.
         cache.rng = self.task_rng(task)
         before_changed = cache.changed_elements
         before_init = cache.initialised_entries
-
-        n1, n2 = side.n1, self.candidate_size
-        union = np.empty((len(task.rows), n1 + n2), dtype=np.int64)
-        union[:, :n1] = cache.gather(task.rows)  # materialises from task stream
-        union[:, n1:] = cache.rng.integers(
-            0, self.n_entities, size=(len(task.rows), n2), dtype=np.int64
+        refresh_rows(
+            cache,
+            task.rows,
+            task.rows,  # the workers' views address storage rows directly
+            task.anchors,
+            task.relations,
+            task.mode,
+            model,
+            n_entities=self.n_entities,
+            candidate_size=self.candidate_size,
+            update_strategy=self.update_strategy,
+            rng=cache.rng,
         )
-        scores = model.score_candidates(
-            task.anchors, task.relations, union, task.mode
-        )
-        selection = select_cache_survivors(
-            union, scores, n1, self.update_strategy, cache.rng,
-            return_scores=cache.store_scores, return_selection=True,
-        )
-        changed = selection_changed_elements(selection, task.rows, n1)
-        cache.scatter(task.rows, selection.ids, selection.scores, changed=changed)
         spans: tuple[dict[str, Any], ...] = ()
         if tracer is not None:
             assert task_span is not None
@@ -450,7 +436,7 @@ class RefreshPool:
             self._trackers.append(DirtyRowTracker(row_counts))
             worker_models.append(worker_model)
 
-        sides: dict[str, _SideState] = {}
+        sides: dict[str, ArrayNegativeCache] = {}
         for mode, store in self.caches.items():
             layout = store.worker_layout()
             view = ArrayNegativeCache(
@@ -465,7 +451,7 @@ class RefreshPool:
                 layout["live"],  # type: ignore[arg-type]
                 layout["scores"],  # type: ignore[arg-type]
             )
-            sides[mode] = _SideState(view=view, n1=int(layout["size"]))  # type: ignore[arg-type]
+            sides[mode] = view
         self._state = _WorkerState(
             tuple(worker_models),
             self._flag_block.array,

@@ -17,12 +17,13 @@ worker's ``shard_task`` spans (:mod:`repro.obs.trace`) land on their own
 pid row of the exported timeline, overlapping the trainer's gradient and
 optimizer spans when ``--refresh-overlap`` is on.
 
-Two inner schemes are supported, selected by the backend's ``inner``
-option:
+Two inner schemes are supported; :func:`repro.core.nscaching.make_cache`
+picks one from whether ``n_buckets`` is set:
 
-* ``array`` — one row per distinct key (unbounded, the default);
-* ``bucketed-array`` — ``n_buckets`` rows shared by hashing (§VI bounded
-  memory), in which case the plan partitions the *bucket* row-space.
+* :class:`ShardedArrayCache` — one row per distinct key (unbounded);
+* :class:`ShardedBucketedArrayCache` — ``n_buckets`` rows shared by
+  hashing (§VI bounded memory), in which case the plan partitions the
+  *bucket* row-space.
 
 Shared-memory segments are owned by the creating process: call
 :meth:`ShardedCacheStore.close` (or let the owning sampler/trainer close)
@@ -32,7 +33,6 @@ to release them; re-attaching an index also releases the previous blocks.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Mapping
 
 import numpy as np
 
@@ -46,12 +46,7 @@ __all__ = [
     "ShardedBucketedArrayCache",
     "ShardedCacheStore",
     "SharedArrayBlock",
-    "check_sharded_options",
-    "make_sharded_cache",
 ]
-
-#: Inner storage schemes ``make_sharded_cache`` accepts.
-SHARDED_INNER_BACKENDS: tuple[str, ...] = ("array", "bucketed-array")
 
 
 class SharedArrayBlock:
@@ -212,57 +207,3 @@ class ShardedBucketedArrayCache(ShardedCacheStore, BucketedArrayCache):
             f"n_buckets={self.n_buckets}, n_shards={self.n_shards}, "
             f"entries={self.n_entries})"
         )
-
-
-def check_sharded_options(options: Mapping[str, object]) -> None:
-    """Value checks for the ``sharded-array`` backend options.
-
-    Registered as the backend's ``check_options`` hook so bad values fail
-    at sampler construction / ``make_cache_backend`` with a clean
-    ``ValueError`` (the CLI's exit-2 path) instead of deep inside
-    allocation at bind time.
-    """
-    from repro.core.store import require_positive_int_options
-
-    require_positive_int_options(options, "n_shards", "n_buckets")
-    inner = options.get("inner", "array")
-    if inner not in SHARDED_INNER_BACKENDS:
-        raise ValueError(
-            f"sharded-array inner backend must be one of "
-            f"{SHARDED_INNER_BACKENDS}, got {inner!r}"
-        )
-    if "n_buckets" in options and inner != "bucketed-array":
-        raise ValueError(
-            "n_buckets only applies to the bucketed-array inner backend; "
-            "pass inner='bucketed-array' (the CLI does this automatically "
-            "when --n-buckets is given)"
-        )
-
-
-def make_sharded_cache(
-    size: int,
-    n_entities: int,
-    rng: np.random.Generator | int | None = None,
-    *,
-    store_scores: bool = False,
-    n_shards: int = 1,
-    inner: str = "array",
-    n_buckets: int | None = None,
-) -> ShardedCacheStore:
-    """Factory for the ``sharded-array`` backend registry entry."""
-    check_sharded_options(
-        {"n_shards": n_shards, "inner": inner}
-        | ({"n_buckets": n_buckets} if n_buckets is not None else {})
-    )
-    if inner == "bucketed-array":
-        return ShardedBucketedArrayCache(
-            size,
-            n_entities,
-            rng,
-            n_shards=n_shards,
-            n_buckets=1024 if n_buckets is None else n_buckets,
-            store_scores=store_scores,
-        )
-    return ShardedArrayCache(
-        size, n_entities, rng, n_shards=n_shards, store_scores=store_scores
-    )

@@ -1,12 +1,19 @@
 """Tests for the preallocated array cache and its vectorised CE counter."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.array_cache import ArrayNegativeCache, multiset_overlap_rows
-from repro.core.cache import _multiset_overlap
-from repro.core.store import CacheStore, make_cache_backend
 from repro.data.keyindex import KeyIndex
+
+
+def _multiset_overlap(a: np.ndarray, b: np.ndarray) -> int:
+    """``|Counter(a) & Counter(b)|``: the CE metric's definition, per row."""
+    return sum((Counter(a.tolist()) & Counter(b.tolist())).values())
 
 
 def _index(n_keys: int = 8, n_second: int = 100) -> KeyIndex:
@@ -33,15 +40,11 @@ class TestConstruction:
         with pytest.raises(RuntimeError, match="attach_index"):
             cache.gather(np.array([0]))
 
-    def test_satisfies_protocol(self):
-        assert isinstance(_cache(), CacheStore)
-
-    def test_registry_builds_both_backends(self):
-        for name in ("array", "dict"):
-            cache = make_cache_backend(name, 4, 20, 0)
-            assert cache.size == 4
-        with pytest.raises(KeyError, match="unknown cache backend"):
-            make_cache_backend("sqlite", 4, 20, 0)
+    def test_close_keeps_heap_storage(self):
+        cache = _cache()
+        entry = cache.gather(np.array([1]))
+        cache.close()
+        np.testing.assert_array_equal(cache.gather(np.array([1])), entry)
 
 
 class TestGather:
@@ -71,17 +74,15 @@ class TestGather:
         np.testing.assert_array_equal(out[0], out[1])
         assert cache.initialised_entries == 1
 
-    def test_matches_dict_rng_stream(self):
-        """Lazy init consumes the generator exactly like the dict cache."""
-        index = _index()
-        array_cache = ArrayNegativeCache(5, 50, np.random.default_rng(7))
-        array_cache.attach_index(index)
-        dict_cache = make_cache_backend("dict", 5, 50, np.random.default_rng(7))
-        dict_cache.attach_index(index)
-        rows = np.array([3, 1, 3, 0])
-        np.testing.assert_array_equal(
-            array_cache.gather(rows), dict_cache.gather(rows)
+    def test_lazy_init_draws_in_first_occurrence_order(self):
+        """New rows take one ``[n, N1]`` draw, rows in first-seen order."""
+        cache = _cache(seed=7)
+        expected = np.random.default_rng(7).integers(
+            0, 50, size=(3, 5), dtype=np.int64
         )
+        out = cache.gather(np.array([3, 1, 3, 0]))
+        np.testing.assert_array_equal(out[[0, 1, 3]], expected)
+        np.testing.assert_array_equal(out[2], out[0])
 
 
 class TestScatter:
@@ -101,6 +102,20 @@ class TestScatter:
         cache.reset_counters()
         assert cache.scatter(np.array([0]), np.array([[3, 2, 9]])) == 1
         assert cache.changed_elements == 1
+
+    @pytest.mark.parametrize(
+        "new, expected",
+        [
+            ([1, 2, 3], 0),  # identical entry
+            ([4, 5, 6], 3),  # disjoint entry
+            ([3, 9, 1], 1),  # partial overlap, order-free
+            ([1, 1, 2], 1),  # multiset: a repeated id counts once per copy
+        ],
+    )
+    def test_ce_is_n1_minus_multiset_overlap(self, new, expected):
+        cache = _cache(size=3)
+        cache.scatter(np.array([0]), np.array([[1, 2, 3]]))
+        assert cache.scatter(np.array([0]), np.array([new])) == expected
 
     def test_scatter_on_fresh_row_counts_full_and_initialises(self):
         cache = _cache(size=3)
@@ -183,7 +198,20 @@ class TestAccounting:
 
 
 class TestMultisetOverlapRows:
-    def test_matches_scalar_reference(self, rng):
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ([1, 2, 3], [1, 2, 3], 3),
+            ([1, 2, 3], [4, 5, 6], 0),
+            ([1, 1, 2], [1, 3, 4], 1),
+            ([1, 1, 2], [1, 1, 9], 2),
+        ],
+    )
+    def test_cases(self, a, b, expected):
+        out = multiset_overlap_rows(np.array([a]), np.array([b]))
+        np.testing.assert_array_equal(out, [expected])
+
+    def test_matches_counter_definition(self, rng):
         a = rng.integers(0, 12, size=(64, 9))
         b = rng.integers(0, 12, size=(64, 9))
         expected = np.array([_multiset_overlap(x, y) for x, y in zip(a, b)])
@@ -250,20 +278,18 @@ class TestMultisetOverlapWideIds:
         np.testing.assert_array_equal(reference[1:], narrow[1:])
 
     def test_scatter_ce_count_survives_wide_id_ranges(self):
-        """End to end: a cache over a huge entity space no longer crashes
-        where the dict backend worked."""
+        """End to end: a cache over a huge entity space counts CE exactly
+        instead of crashing in the packed-code path."""
         n_entities = 2**61
-        index = _index(n_keys=4)
-        array_cache = ArrayNegativeCache(3, n_entities, np.random.default_rng(0))
-        dict_cache = make_cache_backend("dict", 3, n_entities, np.random.default_rng(0))
-        array_cache.attach_index(index)
-        dict_cache.attach_index(index)
+        cache = ArrayNegativeCache(3, n_entities, np.random.default_rng(0))
+        cache.attach_index(_index(n_keys=4))
         rows = np.array([0, 1])
         ids = np.array([[0, 1, 2**60], [2**60, 7, 0]])
-        assert array_cache.scatter(rows, ids) == dict_cache.scatter(rows, ids)
+        assert cache.scatter(rows, ids) == 6  # fresh rows: all changed
         ids2 = np.array([[2**60, 1, 3], [2**60, 7, 1]])
-        assert array_cache.scatter(rows, ids2) == dict_cache.scatter(rows, ids2)
-        assert array_cache.changed_elements == dict_cache.changed_elements
+        expected = sum(3 - _multiset_overlap(a, b) for a, b in zip(ids2, ids))
+        assert cache.scatter(rows, ids2) == expected == 2
+        assert cache.changed_elements == 8
 
 
 class TestChangedHintAndExternalStorage:
@@ -324,3 +350,51 @@ class TestChangedHintAndExternalStorage:
         with pytest.raises(ValueError, match="ids"):
             view.attach_storage(None, np.zeros((5, 3), dtype=np.int64), live,
                                 np.zeros((5, 3)))
+
+
+N_KEYS = 6
+N_ENTITIES = 30
+ENTRY = 4
+
+# One operation = (op, rows): gather the rows, or scatter fresh ids there.
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["gather", "scatter"]),
+        st.lists(st.integers(0, N_KEYS - 1), min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestScatterSelfConsistency:
+    """A batch scatter equals the same rows scattered one at a time, and
+    each one-row CE is ``N1 - |Counter(prev) & Counter(new)|`` (``N1`` for
+    a row never initialised)."""
+
+    @given(ops=_ops, data_seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_scatter_equals_row_by_row(self, ops, data_seed):
+        batched = _cache(size=ENTRY, n_entities=N_ENTITIES, seed=99, n_keys=N_KEYS)
+        single = _cache(size=ENTRY, n_entities=N_ENTITIES, seed=99, n_keys=N_KEYS)
+        data_rng = np.random.default_rng(data_seed)
+        for op, row_list in ops:
+            rows = np.array(row_list, dtype=np.int64)
+            if op == "gather":
+                np.testing.assert_array_equal(batched.gather(rows), single.gather(rows))
+                continue
+            ids = data_rng.integers(0, N_ENTITIES, size=(len(rows), ENTRY))
+            total = 0
+            for row, entry in zip(rows.tolist(), ids):
+                expected = ENTRY
+                if (row, row) in single:
+                    expected -= _multiset_overlap(single.get((row, row)), entry)
+                assert single.scatter(np.array([row]), entry[None, :]) == expected
+                total += expected
+            assert batched.scatter(rows, ids) == total
+        assert batched.changed_elements == single.changed_elements
+        assert batched.initialised_entries == single.initialised_entries
+        assert batched.keys() == single.keys()
+        assert batched.memory_bytes() == single.memory_bytes()
+        live = np.array([row for row, _ in batched.keys()], dtype=np.int64)
+        np.testing.assert_array_equal(batched.gather(live), single.gather(live))

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.array_cache import ArrayNegativeCache
 from repro.core.bucketed import BucketedArrayCache
-from repro.core.store import CacheStore, backend_options, make_cache_backend
-from repro.data.keyindex import KeyIndex
+from repro.core.nscaching import make_cache
+from repro.data.keyindex import BucketIndex, KeyIndex
 
 
 def _index(n_keys: int = 8, n_second: int = 100) -> KeyIndex:
@@ -33,17 +36,15 @@ class TestConstruction:
         with pytest.raises(RuntimeError, match="attach_index"):
             cache.gather(np.array([0]))
 
-    def test_satisfies_protocol(self):
-        assert isinstance(_cache(), CacheStore)
-
-    def test_registry_builds_backend_with_options(self):
-        cache = make_cache_backend("bucketed-array", 4, 20, 0, n_buckets=3)
+    def test_make_cache_builds_engine_with_buckets(self):
+        cache = make_cache("bucketed-array", 4, 20, 0, n_buckets=3)
+        assert isinstance(cache, BucketedArrayCache)
         assert cache.size == 4 and cache.n_buckets == 3
-        assert backend_options("bucketed-array") == {"n_buckets"}
+        assert make_cache("bucketed-array", 4, 20, 0).n_buckets == 1024
 
-    def test_registry_rejects_option_for_plain_backends(self):
-        with pytest.raises(ValueError, match="does not accept option"):
-            make_cache_backend("array", 4, 20, 0, n_buckets=3)
+    def test_make_cache_rejects_buckets_for_plain_engine(self):
+        with pytest.raises(ValueError, match="does not accept n_buckets"):
+            make_cache("array", 4, 20, 0, n_buckets=3)
 
 
 class TestMemoryBound:
@@ -129,3 +130,80 @@ class TestScores:
             cache.gather_scores(np.array([0]))
         with pytest.raises(RuntimeError, match="store_scores"):
             cache.scores((0, 0))
+
+
+N_KEYS = 6
+N_BUCKETS = 3  # < N_KEYS, so the op sequences exercise collisions
+N_ENTITIES = 30
+ENTRY = 4
+
+# One operation = (op, rows): gather the rows, or scatter fresh ids there.
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["gather", "scatter"]),
+        st.lists(st.integers(0, N_KEYS - 1), min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestBucketedIsArrayOverBucketRows:
+    """The bucketed engine is the array engine over a key index remapped to
+    bucket ids: same entries, CE, counters and memory for any op sequence."""
+
+    @given(ops=_ops, data_seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_same_entries_ce_and_memory(self, ops, data_seed):
+        index = _index(N_KEYS, N_KEYS)
+        bucketed = BucketedArrayCache(
+            ENTRY, N_ENTITIES, np.random.default_rng(99), n_buckets=N_BUCKETS
+        )
+        bucketed.attach_index(index)
+        to_bucket = BucketIndex(index, N_BUCKETS).bucket_rows
+        plain = ArrayNegativeCache(ENTRY, N_ENTITIES, np.random.default_rng(99))
+        plain.attach_index(_index(N_BUCKETS, N_BUCKETS))  # one key per bucket
+        data_rng = np.random.default_rng(data_seed)
+        for op, row_list in ops:
+            rows = np.array(row_list, dtype=np.int64)
+            if op == "gather":
+                np.testing.assert_array_equal(
+                    bucketed.gather(rows), plain.gather(to_bucket(rows))
+                )
+            else:
+                ids = data_rng.integers(0, N_ENTITIES, size=(len(rows), ENTRY))
+                changed = plain.scatter(to_bucket(rows), ids)
+                assert bucketed.scatter(rows, ids) == changed
+        assert bucketed.changed_elements == plain.changed_elements
+        assert bucketed.initialised_entries == plain.initialised_entries
+        assert bucketed.memory_bytes() == plain.memory_bytes()
+        assert bucketed.keys() == [(bucket, 0) for bucket, _ in plain.keys()]
+        for row in range(N_KEYS):
+            bucket = int(to_bucket(np.array([row]))[0])
+            assert ((row, row) in bucketed) == ((bucket, bucket) in plain)
+            if (row, row) in bucketed:
+                np.testing.assert_array_equal(
+                    bucketed.get((row, row)), plain.get((bucket, bucket))
+                )
+
+    def test_two_keys_one_bucket_share_and_ce(self):
+        """The collision case, deterministically: two distinct keys landing
+        in one bucket read each other's writes, and a batch writing both
+        counts CE like two sequential writes."""
+        index = _index(N_KEYS, N_KEYS)
+        cache = BucketedArrayCache(
+            ENTRY, N_ENTITIES, np.random.default_rng(99), n_buckets=N_BUCKETS
+        )
+        cache.attach_index(index)
+        buckets = BucketIndex(index, N_BUCKETS).bucket_rows(np.arange(N_KEYS))
+        first, second = next(
+            np.flatnonzero(buckets == bucket)[:2]
+            for bucket in range(N_BUCKETS)
+            if np.count_nonzero(buckets == bucket) >= 2
+        )
+        ids = np.arange(ENTRY)[None, :]
+        cache.scatter(np.array([first]), ids)
+        np.testing.assert_array_equal(cache.get(index.key_of(second)), ids[0])
+        batch = np.stack([ids[0] + 100, ids[0] + 200])
+        assert cache.scatter(np.array([first, second]), batch) == 2 * ENTRY
+        np.testing.assert_array_equal(cache.get(index.key_of(first)), batch[1])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.hashed import HashedNegativeCache
-from repro.core.nscaching import NSCachingSampler
+from repro.core.array_cache import ArrayNegativeCache
+from repro.core.bucketed import BucketedArrayCache
+from repro.core.nscaching import NSCachingSampler, refresh_rows
 from repro.core.strategies import SampleStrategy, UpdateStrategy
 from repro.models import make_model
 
@@ -32,6 +33,41 @@ class TestConstruction:
         sampler = NSCachingSampler()
         with pytest.raises(RuntimeError, match="must be bound"):
             sampler.sample(tiny_kg.train[:4])
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"cache_backend": "dict"}, "must be one of"),
+            ({"cache_backend": "hashed", "n_buckets": 8}, "must be one of"),
+            ({"n_buckets": 8}, "does not accept n_buckets"),
+            ({"n_shards": 2}, "does not accept n_shards"),
+            ({"cache_backend": "bucketed-array", "n_shards": 2},
+             "does not accept n_shards"),
+            ({"cache_backend": "bucketed-array", "n_buckets": 0}, ">= 1"),
+            ({"cache_backend": "sharded-array", "n_shards": True}, "integer"),
+        ],
+    )
+    def test_engine_options_validated_at_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            NSCachingSampler(**kwargs)
+
+    def test_sharded_class_follows_n_buckets(self, tiny_kg):
+        from repro.parallel.sharded import (
+            ShardedArrayCache,
+            ShardedBucketedArrayCache,
+        )
+
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        for n_buckets, expected in ((None, ShardedArrayCache),
+                                    (16, ShardedBucketedArrayCache)):
+            sampler = NSCachingSampler(
+                cache_backend="sharded-array", n_shards=2, n_buckets=n_buckets
+            ).bind(model, tiny_kg, 0)
+            try:
+                assert type(sampler.head_cache) is expected
+                assert sampler.head_cache.plan.n_shards == 2
+            finally:
+                sampler.close()
 
     def test_repr_mentions_paper_knobs(self):
         text = repr(NSCachingSampler(cache_size=50, candidate_size=70))
@@ -117,6 +153,26 @@ class TestUpdate:
         sampler.update(batch, batch)
         assert sampler.changed_elements() > 0
 
+    def test_lazy_init_draws_precede_fresh_candidates(self, tiny_kg):
+        """A refresh of never-gathered rows initialises them first, then
+        draws the fresh candidates: pre-gathering the rows changes nothing.
+        (The trainer always samples before it refreshes, so trajectories
+        alone never exercise this order.)"""
+        samplers = []
+        for pre_gather in (False, True):
+            model = make_model(
+                "TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0
+            )
+            sampler = NSCachingSampler(cache_size=4, candidate_size=4)
+            sampler.bind(model, tiny_kg, rng=0)
+            batch = tiny_kg.train[:16]
+            rows = sampler.precompute_rows(batch)
+            if pre_gather:
+                sampler.head_cache.gather(rows.head)
+            sampler.update(batch, batch, rows, modes=("head",))
+            samplers.append(sampler.head_cache.gather(rows.head))
+        np.testing.assert_array_equal(*samplers)
+
     def test_update_before_sample_is_safe(self, bound_sampler, tiny_kg):
         batch = tiny_kg.train[:4]
         bound_sampler.update(batch, batch)  # initialises entries on demand
@@ -151,19 +207,10 @@ class TestUpdateModes:
         assert bound_sampler.tail_cache.n_entries == 0
 
 
-class TestFusedRefresh:
-    def test_fused_by_default_and_in_repr(self):
-        sampler = NSCachingSampler()
-        assert sampler.fused
-        assert "fused=True" in repr(sampler)
-
-    def test_reference_path_runs(self, tiny_kg):
-        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
-        sampler = NSCachingSampler(cache_size=4, candidate_size=4, fused=False)
-        sampler.bind(model, tiny_kg, rng=0)
-        batch = tiny_kg.train[:8]
-        sampler.update(batch, sampler.sample(batch))
-        assert sampler.changed_elements() > 0
+class TestRefresh:
+    def test_array_engine_by_default_and_in_repr(self, bound_sampler):
+        assert type(bound_sampler.head_cache) is ArrayNegativeCache
+        assert "backend=array" in repr(bound_sampler)
 
     def test_union_buffer_reused_across_batches(self, bound_sampler, tiny_kg):
         batch = tiny_kg.train[:16]
@@ -215,16 +262,79 @@ class TestStrategyVariants:
         assert importance.head_cache.store_scores
 
 
-class TestHashedCacheIntegration:
-    def test_hashed_cache_bounds_entries(self, tiny_kg):
-        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
-        factory = lambda size, n, rng, store_scores: HashedNegativeCache(  # noqa: E731
-            size, n, rng, n_buckets=7, store_scores=store_scores
-        )
+class TestRefreshRows:
+    """The shared Alg. 3 refresh, called directly as the pool workers do."""
+
+    def _setup(self, tiny_kg, store_scores=False):
+        model = make_model("DistMult", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
         sampler = NSCachingSampler(
-            cache_size=4, candidate_size=4, cache_factory=factory
+            cache_size=4, candidate_size=3,
+            sample_strategy="importance" if store_scores else "uniform",
+        ).bind(model, tiny_kg, 0)
+        batch = tiny_kg.train[:16]
+        rows = sampler.precompute_rows(batch).tail
+        unique = np.unique(rows, return_index=True)[1]  # one write per row
+        return model, sampler.tail_cache, batch[unique], rows[unique]
+
+    def test_returns_ce_and_fills_the_callers_buffer(self, tiny_kg):
+        model, cache, batch, rows = self._setup(tiny_kg)
+        before = cache.gather(rows)
+        union = np.full((len(rows), 7), -1, dtype=np.int64)
+        ce = refresh_rows(
+            cache, rows, cache.storage_rows(rows), batch[:, 0], batch[:, 1],
+            "tail", model, n_entities=tiny_kg.n_entities, candidate_size=3,
+            update_strategy=UpdateStrategy.IMPORTANCE,
+            rng=np.random.default_rng(1), union=union,
+        )
+        np.testing.assert_array_equal(union[:, :4], before)
+        assert union[:, 4:].min() >= 0
+        assert ce == cache.changed_elements
+        after = cache.gather(rows)
+        # Survivors come from the union of each row's entry and draws.
+        for row_union, row_after in zip(union, after):
+            assert set(row_after.tolist()) <= set(row_union.tolist())
+
+    def test_co_stored_scores_are_the_survivors_scores(self, tiny_kg):
+        model, cache, batch, rows = self._setup(tiny_kg, store_scores=True)
+        refresh_rows(
+            cache, rows, cache.storage_rows(rows), batch[:, 0], batch[:, 1],
+            "tail", model, n_entities=tiny_kg.n_entities, candidate_size=3,
+            update_strategy=UpdateStrategy.TOP, rng=np.random.default_rng(1),
+        )
+        ids, scores = cache.gather(rows), cache.gather_scores(rows)
+        expected = model.score_candidates(batch[:, 0], batch[:, 1], ids, "tail")
+        np.testing.assert_allclose(scores, expected, rtol=1e-12)
+
+
+class TestNonFiniteScores:
+    """A diverged model must not silently refill the caches."""
+
+    def test_nan_scores_raise_naming_mode_and_count(self, bound_sampler, tiny_kg):
+        batch = tiny_kg.train[:8]
+        bound_sampler.model.params["entity"][:] = np.nan
+        rows = bound_sampler.precompute_rows(batch).head
+        before = bound_sampler.head_cache.gather(rows)
+        with pytest.raises(ValueError, match=r"head cache refresh: 96 of 96 "):
+            bound_sampler.update(batch, batch)
+        np.testing.assert_array_equal(bound_sampler.head_cache.gather(rows), before)
+        assert bound_sampler.changed_elements() == 0
+
+    def test_partial_inf_scores_counted(self, bound_sampler, tiny_kg):
+        batch = tiny_kg.train[:8]
+        bound_sampler.model.params["entity"][int(batch[0, 0])] = np.inf
+        with pytest.raises(ValueError, match="tail cache refresh: .* non-finite"):
+            bound_sampler.update(batch, batch, modes=("tail",))
+
+
+class TestBucketedIntegration:
+    def test_bucketed_cache_bounds_entries(self, tiny_kg):
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        sampler = NSCachingSampler(
+            cache_size=4, candidate_size=4, cache_backend="bucketed-array",
+            n_buckets=7,
         )
         sampler.bind(model, tiny_kg, rng=0)
+        assert isinstance(sampler.head_cache, BucketedArrayCache)
         for start in range(0, len(tiny_kg.train), 32):
             batch = tiny_kg.train[start : start + 32]
             sampler.update(batch, sampler.sample(batch))

@@ -1,9 +1,13 @@
 """Tests for the dense cache-key indexes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.data.keyindex import BucketIndex, KeyIndex, TripleKeyIndex, stable_key_hash
+
+GOLDEN_PATH = Path(__file__).parents[1] / "goldens" / "engine_goldens.npz"
 
 
 class TestKeyIndex:
@@ -82,16 +86,21 @@ class TestTripleKeyIndex:
 
 
 class TestStableKeyHash:
-    def test_matches_scalar_reference(self):
-        from repro.core.hashed import stable_key_hash as scalar_hash
-
-        rng = np.random.default_rng(3)
-        first = rng.integers(0, 10**12, size=500)
-        second = rng.integers(0, 10**12, size=500)
-        expected = np.array(
-            [scalar_hash((a, b)) for a, b in zip(first, second)], dtype=np.uint64
+    def test_matches_pinned_table(self):
+        """Values are pinned (moving them would move every bucket)."""
+        goldens = np.load(GOLDEN_PATH)
+        keys = goldens["stable_key_hash/keys"]
+        np.testing.assert_array_equal(
+            stable_key_hash(keys[:, 0], keys[:, 1]), goldens["stable_key_hash/values"]
         )
-        np.testing.assert_array_equal(stable_key_hash(first, second), expected)
+
+    def test_elementwise_equals_one_key_at_a_time(self):
+        rng = np.random.default_rng(3)
+        first = rng.integers(0, 10**12, size=50)
+        second = rng.integers(0, 10**12, size=50)
+        single = [stable_key_hash(np.array([a]), np.array([b]))[0]
+                  for a, b in zip(first, second)]
+        np.testing.assert_array_equal(stable_key_hash(first, second), single)
 
     def test_deterministic_and_order_sensitive(self):
         a = np.array([3, 7])
@@ -131,16 +140,13 @@ class TestBucketIndex:
         assert np.all((out >= 0) & (out < 4))
         np.testing.assert_array_equal(buckets.bucket_rows(rows), out)
 
-    def test_matches_dict_hashed_bucketing(self):
-        """Same hash, same buckets as HashedNegativeCache's scalar path."""
-        from repro.core.hashed import stable_key_hash as scalar_hash
-
+    def test_bucket_is_key_hash_modulo_buckets(self):
         index = self._index(25)
         buckets = BucketIndex(index, 7)
         for row, (a, b) in enumerate(index.keys()):
-            assert buckets.bucket_rows(np.array([row]))[0] == (
-                scalar_hash((int(a), int(b))) % 7
-            )
+            expected = stable_key_hash(np.array([a]), np.array([b]))[0] % np.uint64(7)
+            assert buckets.bucket_rows(np.array([row]))[0] == expected
+            assert buckets.bucket_of((int(a), int(b))) == expected
 
     def test_bucket_of_serves_unindexed_keys(self):
         buckets = BucketIndex(self._index(), 5)

@@ -10,8 +10,6 @@ goldens (see ``generate_goldens.py`` and CONTRIBUTING.md).
 import numpy as np
 import pytest
 
-from repro.data.keyindex import stable_key_hash
-
 from generate_goldens import CONFIGS, GOLDEN_PATH, run_config, tiny_kg
 
 GOLDENS = np.load(GOLDEN_PATH)
@@ -45,10 +43,3 @@ def test_trajectory_matches_golden(config, dataset):
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0, err_msg=key)
         else:
             np.testing.assert_array_equal(got, expected, err_msg=key)
-
-
-def test_stable_key_hash_table():
-    keys = GOLDENS["stable_key_hash/keys"]
-    np.testing.assert_array_equal(
-        stable_key_hash(keys[:, 0], keys[:, 1]), GOLDENS["stable_key_hash/values"]
-    )

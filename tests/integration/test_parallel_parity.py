@@ -3,7 +3,7 @@
 Three contracts, end to end through the Trainer:
 
 * ``sharded-array`` with **any** ``n_shards`` and ``refresh_workers=1``
-  is bit-identical to the plain ``array`` backend (and the bucketed inner
+  is bit-identical to the plain ``array`` engine (and the bucketed
   scheme to ``bucketed-array``) — losses, CE series and final parameters;
 * with ``refresh_workers >= 2`` training is deterministic: repeated
   seeded runs, different worker counts, and the in-process fallback all
@@ -55,7 +55,7 @@ def _train(tiny_kg, backend, *, options=None, workers=1, processes=True,
         cache_size=8,
         candidate_size=8,
         cache_backend=backend,
-        cache_options=options,
+        **(options or {}),
         refresh_workers=workers,
         refresh_processes=processes,
         refresh_overlap=overlap,
@@ -110,7 +110,7 @@ class TestSequentialParity:
         model_s, history_s, trainer_s = _train(
             tiny_kg,
             "sharded-array",
-            options={"n_shards": 3, "inner": "bucketed-array", "n_buckets": 16},
+            options={"n_shards": 3, "n_buckets": 16},
         )
         try:
             _assert_same_outcome(
@@ -216,7 +216,7 @@ class TestParallelSurface:
         disappear from the report instead of crashing."""
         for options in (
             {"n_shards": 3},
-            {"n_shards": 3, "inner": "bucketed-array", "n_buckets": 16},
+            {"n_shards": 3, "n_buckets": 16},
         ):
             model, history, trainer = _train(
                 tiny_kg, "sharded-array", options=options, epochs=1
@@ -227,13 +227,27 @@ class TestParallelSurface:
             assert stats["backend"] == "sharded-array"
             assert "head_shard_live_rows" not in stats
 
-    def test_workers_reject_unfused_refresh(self):
-        """The pool always runs the fused kernel: fused=False must be
-        rejected up front rather than silently ignored."""
-        with pytest.raises(ValueError, match="fused"):
-            NSCachingSampler(
-                refresh_workers=2, cache_backend="sharded-array", fused=False
-            )
+    @pytest.mark.parametrize("processes", (False, True))
+    def test_non_finite_scores_surface_as_worker_failure(self, tiny_kg, processes):
+        """The shared refresh's finiteness check reaches the caller from
+        pool workers too, as the pool's worker-failure RuntimeError."""
+        if processes and not FORK_AVAILABLE:
+            pytest.skip("fork start method unavailable")
+        model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
+        sampler = NSCachingSampler(
+            cache_size=4, candidate_size=4, cache_backend="sharded-array",
+            n_shards=2, refresh_workers=2, refresh_processes=processes,
+        )
+        sampler.bind(model, tiny_kg, rng=0)
+        try:
+            model.params["entity"][:] = np.nan
+            batch = tiny_kg.train[:8]
+            with pytest.raises(RuntimeError, match="refresh worker failed") as info:
+                sampler.update(batch, batch)
+            assert "ValueError" in str(info.value)
+            assert "non-finite" in str(info.value)
+        finally:
+            sampler.close()
 
     @needs_fork
     def test_lazy_epochs_with_parallel_refresh(self, tiny_kg):
@@ -246,7 +260,7 @@ class TestParallelSurface:
             sampler = NSCachingSampler(
                 cache_size=4, candidate_size=4, lazy_epochs=1,
                 cache_backend="sharded-array",
-                cache_options={"n_shards": 3}, refresh_workers=WORKERS,
+                n_shards=3, refresh_workers=WORKERS,
             )
             trainer = Trainer(
                 model, tiny_kg, sampler,

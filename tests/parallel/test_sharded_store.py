@@ -1,8 +1,8 @@
-"""ShardedCacheStore ↔ unsharded backend bit-parity and lifecycle.
+"""ShardedCacheStore ↔ unsharded engine bit-parity and lifecycle.
 
 Sharding only changes where the storage bytes live (shared memory) and
 how the row-space is described (the shard plan); gather/scatter/CE/RNG
-semantics must be bit-identical to the unsharded inner backend for any
+semantics must be bit-identical to the unsharded inner scheme for any
 ``n_shards`` — including colliding bucket writes and co-stored scores.
 """
 
@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from repro.core.array_cache import ArrayNegativeCache
 from repro.core.bucketed import BucketedArrayCache
-from repro.core.store import make_cache_backend
+from repro.core.nscaching import make_cache
 from repro.data.keyindex import KeyIndex
 from repro.parallel.sharded import (
     ShardedArrayCache,
     ShardedBucketedArrayCache,
     ShardedCacheStore,
-    make_sharded_cache,
 )
 
 N_KEYS = 6
@@ -50,13 +49,13 @@ def _pair(inner, n_shards, store_scores=False):
             n_buckets=N_BUCKETS,
             store_scores=store_scores,
         )
-    sharded = make_sharded_cache(
+    sharded = make_cache(
+        "sharded-array",
         ENTRY,
         N_ENTITIES,
         np.random.default_rng(99),
         store_scores=store_scores,
         n_shards=n_shards,
-        inner=inner,
         n_buckets=N_BUCKETS if inner == "bucketed-array" else None,
     )
     index = _index()
@@ -182,16 +181,14 @@ class TestLifecycle:
         finally:
             sharded.close()
 
-    def test_registry_constructs_sharded_backend(self):
-        store = make_cache_backend(
-            "sharded-array", ENTRY, N_ENTITIES, 0, n_shards=2
-        )
+    def test_make_cache_picks_the_sharded_class_from_n_buckets(self):
+        store = make_cache("sharded-array", ENTRY, N_ENTITIES, 0, n_shards=2)
         assert isinstance(store, ShardedArrayCache)
         store.attach_index(_index())
         store.close()
-        bucketed = make_cache_backend(
+        bucketed = make_cache(
             "sharded-array", ENTRY, N_ENTITIES, 0,
-            n_shards=2, inner="bucketed-array", n_buckets=N_BUCKETS,
+            n_shards=2, n_buckets=N_BUCKETS,
         )
         assert isinstance(bucketed, ShardedBucketedArrayCache)
         assert isinstance(bucketed, ShardedCacheStore)
@@ -209,17 +206,30 @@ class TestOptionValidation:
             {"n_shards": -3},
             {"n_shards": 2.5},
             {"n_shards": True},
-            {"inner": "dict"},
-            {"n_buckets": 0, "inner": "bucketed-array"},
-            {"n_buckets": 8},  # n_buckets without the bucketed inner scheme
+            {"n_buckets": 0},
+            {"n_buckets": "many"},
         ),
     )
     def test_sharded_option_values_rejected(self, options):
-        with pytest.raises(ValueError):
-            make_cache_backend("sharded-array", ENTRY, N_ENTITIES, 0, **options)
+        with pytest.raises(ValueError, match="n_shards|n_buckets"):
+            make_cache("sharded-array", ENTRY, N_ENTITIES, 0, **options)
 
-    @pytest.mark.parametrize("backend", ("hashed", "bucketed-array"))
+    @pytest.mark.parametrize("backend", ("sharded-array", "bucketed-array"))
     @pytest.mark.parametrize("n_buckets", (0, -1, "many"))
     def test_bucket_counts_rejected_before_allocation(self, backend, n_buckets):
         with pytest.raises(ValueError, match="n_buckets"):
-            make_cache_backend(backend, ENTRY, N_ENTITIES, 0, n_buckets=n_buckets)
+            make_cache(backend, ENTRY, N_ENTITIES, 0, n_buckets=n_buckets)
+
+    @pytest.mark.parametrize(
+        "backend, options",
+        (
+            ("array", {"n_buckets": 8}),
+            ("array", {"n_shards": 2}),
+            ("bucketed-array", {"n_shards": 2}),
+            ("dict", {}),
+            ("hashed", {"n_buckets": 8}),
+        ),
+    )
+    def test_option_for_another_engine_rejected(self, backend, options):
+        with pytest.raises(ValueError, match="does not accept|must be one of"):
+            make_cache(backend, ENTRY, N_ENTITIES, 0, **options)

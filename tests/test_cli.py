@@ -32,15 +32,16 @@ class TestParser:
         assert args.profile is False
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "dict", "--profile"]
+             "--cache-backend", "bucketed-array", "--profile"]
         )
-        assert args.cache_backend == "dict"
+        assert args.cache_backend == "bucketed-array"
         assert args.profile is True
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["train", "--dataset", "WN18RR", "--model", "TransE",
-                 "--cache-backend", "sqlite"]
-            )
+        for removed in (["--cache-backend", "sqlite"], ["--cache-backend", "dict"],
+                        ["--cache-backend", "hashed"], ["--no-fused-refresh"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["train", "--dataset", "WN18RR", "--model", "TransE", *removed]
+                )
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(
@@ -67,9 +68,9 @@ class TestCommands:
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
         assert "Table IV" in out
-        assert "cache-engine throughput" in out
+        assert "memory-bounded bucketed array cache" in out
 
-    def test_train_profile_and_dict_backend(self, capsys):
+    def test_train_profile(self, capsys):
         code = main(
             [
                 "train",
@@ -81,7 +82,6 @@ class TestCommands:
                 "--scale", "0.05",
                 "--cache-size", "4",
                 "--candidate-size", "4",
-                "--cache-backend", "dict",
                 "--profile",
             ]
         )
@@ -175,9 +175,8 @@ class TestMemoryBoundedBackends:
         assert args.n_buckets == 64
         args = build_parser().parse_args(
             ["train", "--dataset", "WN18RR", "--model", "TransE",
-             "--cache-backend", "hashed"]
+             "--cache-backend", "bucketed-array"]
         )
-        assert args.cache_backend == "hashed"
         assert args.n_buckets is None
 
     def test_train_bucketed_array_end_to_end(self, capsys):
@@ -204,26 +203,6 @@ class TestMemoryBoundedBackends:
         assert "allocated_bytes" in out
         assert "head_load_factor" in out
 
-    def test_train_hashed_backend_reachable(self, capsys):
-        """Regression: `hashed` used to be missing from the registry, so
-        the paper's SVI extension was unreachable from the CLI."""
-        code = main(
-            [
-                "train",
-                "--dataset", "WN18RR",
-                "--model", "TransE",
-                "--epochs", "1",
-                "--dim", "8",
-                "--scale", "0.05",
-                "--cache-size", "4",
-                "--candidate-size", "4",
-                "--cache-backend", "hashed",
-                "--n-buckets", "8",
-            ]
-        )
-        assert code == 0
-        assert "mrr" in capsys.readouterr().out
-
     def test_n_buckets_with_plain_backend_fails_cleanly(self, capsys):
         code = main(
             [
@@ -238,7 +217,7 @@ class TestMemoryBoundedBackends:
             ]
         )
         assert code == 2
-        assert "does not accept option" in capsys.readouterr().err
+        assert "does not accept n_buckets" in capsys.readouterr().err
 
     def test_non_positive_n_buckets_rejected_at_parse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -270,10 +249,10 @@ class TestParallelRefreshCLI:
              "--cache-backend", "sharded-array", "--refresh-workers", "3"]
         )
         kwargs = _sampler_kwargs(args)
-        assert kwargs["cache_options"] == {"n_shards": 3}
+        assert kwargs["n_shards"] == 3
         assert kwargs["refresh_workers"] == 3
 
-    def test_n_buckets_selects_bucketed_inner_scheme(self):
+    def test_n_buckets_passes_through_to_the_sharded_engine(self):
         from repro.cli import _sampler_kwargs
 
         args = build_parser().parse_args(
@@ -282,9 +261,7 @@ class TestParallelRefreshCLI:
              "--n-shards", "2", "--n-buckets", "32"]
         )
         kwargs = _sampler_kwargs(args)
-        assert kwargs["cache_options"] == {
-            "n_shards": 2, "n_buckets": 32, "inner": "bucketed-array"
-        }
+        assert (kwargs["n_shards"], kwargs["n_buckets"]) == (2, 32)
 
     def test_train_sharded_backend_end_to_end(self, capsys):
         code = main(
@@ -323,7 +300,7 @@ class TestParallelRefreshCLI:
             ]
         )
         assert code == 2
-        assert "does not accept option" in capsys.readouterr().err
+        assert "does not accept n_shards" in capsys.readouterr().err
 
     def test_workers_without_sharded_backend_fails_cleanly(self, capsys):
         code = main(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import _multiset_overlap
+from repro.core.array_cache import multiset_overlap_rows
 from repro.eval.ccdf import ccdf
 from repro.eval.ranking import rank_scores
 from repro.models.losses import LogisticLoss, MarginRankingLoss
@@ -134,19 +134,21 @@ class TestLossProperties:
 
 class TestMultisetOverlapProperties:
     @given(
-        a=st.lists(st.integers(0, 8), min_size=1, max_size=12),
-        b=st.lists(st.integers(0, 8), min_size=1, max_size=12),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12
+        ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_overlap_matches_counter_intersection(self, a, b):
+    def test_overlap_matches_counter_intersection(self, pairs):
         from collections import Counter
 
+        a, b = (list(side) for side in zip(*pairs))
         expected = sum((Counter(a) & Counter(b)).values())
-        got = _multiset_overlap(np.asarray(a), np.asarray(b))
-        assert got == expected
+        got = multiset_overlap_rows(np.asarray([a]), np.asarray([b]))
+        assert got.tolist() == [expected]
 
     @given(a=st.lists(st.integers(0, 8), min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)
     def test_overlap_with_self_is_full(self, a):
-        arr = np.asarray(a)
-        assert _multiset_overlap(arr, arr) == len(a)
+        arr = np.asarray([a])
+        assert multiset_overlap_rows(arr, arr).tolist() == [len(a)]
