@@ -250,7 +250,7 @@ class TestScoresValidation:
 class TestMultisetOverlapWideIds:
     """The packed-code path overflows int64 for extreme id ranges; the
     lexsort fallback must kick in instead of raising (regression: the CE
-    count of ``scatter`` crashed on wide id ranges where dict worked)."""
+    count of ``scatter`` crashed on wide id ranges)."""
 
     def test_fallback_at_packing_threshold(self):
         # n_rows * span * n_cols == 2 * 2**60 * 2 == 2**62: first width
