@@ -68,6 +68,11 @@ class TestGather:
         out[...] = -1
         assert cache.gather(np.array([0])).min() >= 0
 
+    def test_distinct_rows_independent(self):
+        cache = _cache(size=8, n_entities=1000)
+        out = cache.gather(np.array([0, 1]))
+        assert not np.array_equal(out[0], out[1])
+
     def test_duplicate_rows_share_entry(self):
         cache = _cache()
         out = cache.gather(np.array([4, 4]))
@@ -132,6 +137,20 @@ class TestScatter:
         assert cache.scatter(np.array([0, 0]), ids) == 4
         np.testing.assert_array_equal(cache.gather(np.array([0]))[0], [4, 5, 7])
 
+    def test_caller_arrays_not_aliased(self):
+        """scatter() copies: later writes to the caller's arrays leave the
+        cache alone."""
+        cache = _cache(size=3, store_scores=True)
+        ids = np.array([[1, 2, 3]])
+        scores = np.array([[0.1, 0.2, 0.3]])
+        cache.scatter(np.array([0]), ids, scores)
+        ids[...] = 7
+        scores[...] = 9.0
+        np.testing.assert_array_equal(cache.gather(np.array([0]))[0], [1, 2, 3])
+        np.testing.assert_allclose(
+            cache.gather_scores(np.array([0]))[0], [0.1, 0.2, 0.3]
+        )
+
     def test_empty_scatter(self):
         cache = _cache(size=3)
         assert cache.scatter(np.empty(0, dtype=np.int64), np.empty((0, 3))) == 0
@@ -170,6 +189,16 @@ class TestKeyAddressed:
         assert (0, 0) in cache
         assert (9, 9) not in cache  # not in the index at all
 
+    def test_get_and_scores_return_copies(self):
+        cache = _cache(size=3, store_scores=True)
+        cache.scatter(
+            np.array([1]), np.array([[1, 2, 3]]), np.array([[0.1, 0.2, 0.3]])
+        )
+        cache.get((1, 1))[...] = 9
+        cache.scores((1, 1))[...] = 9.0
+        np.testing.assert_array_equal(cache.get((1, 1)), [1, 2, 3])
+        np.testing.assert_allclose(cache.scores((1, 1)), [0.1, 0.2, 0.3])
+
     def test_keys_lists_initialised_rows(self):
         cache = _cache()
         cache.gather(np.array([2]))
@@ -189,6 +218,16 @@ class TestAccounting:
     def test_allocated_bytes_counts_preallocation(self):
         cache = _cache(size=4, n_keys=8)
         assert cache.allocated_bytes() >= 8 * 4 * 8
+
+    def test_reset_counters_keeps_entries(self):
+        cache = _cache(size=3)
+        cache.scatter(np.array([0]), np.array([[1, 2, 3]]))
+        cache.gather(np.array([4]))
+        cache.reset_counters()
+        assert cache.changed_elements == 0
+        assert cache.initialised_entries == 0
+        assert cache.n_entries == 2
+        np.testing.assert_array_equal(cache.gather(np.array([0]))[0], [1, 2, 3])
 
     def test_len_and_repr(self):
         cache = _cache()
@@ -239,6 +278,26 @@ class TestScoresValidation:
             with pytest.raises(ValueError, match="scores must have shape"):
                 cache.scatter(rows, ids, bad)
         assert cache.n_entries == 0  # rejected before any write
+
+    def test_rejected_scatter_leaves_entry_untouched(self):
+        """Validation precedes mutation: no ids-without-scores state."""
+        cache = _cache(size=3, store_scores=True)
+        cache.scatter(
+            np.array([0]), np.array([[1, 2, 3]]), np.array([[0.1, 0.2, 0.3]])
+        )
+        before = (cache.changed_elements, cache.initialised_entries)
+        with pytest.raises(ValueError, match="requires scores"):
+            cache.scatter(np.array([0, 1]), np.array([[7, 8, 9], [4, 5, 6]]))
+        with pytest.raises(ValueError, match="scores must have shape"):
+            cache.scatter(
+                np.array([0, 1]), np.array([[7, 8, 9], [4, 5, 6]]), np.ones((2, 2))
+            )
+        np.testing.assert_array_equal(cache.gather(np.array([0]))[0], [1, 2, 3])
+        np.testing.assert_allclose(
+            cache.gather_scores(np.array([0]))[0], [0.1, 0.2, 0.3]
+        )
+        assert (cache.changed_elements, cache.initialised_entries) == before
+        assert cache.n_entries == 1
 
     def test_scatter_validates_scores_even_without_storage(self):
         """A wrong-shaped block is a caller bug whether stored or not."""

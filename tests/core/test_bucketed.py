@@ -36,6 +36,13 @@ class TestConstruction:
         with pytest.raises(RuntimeError, match="attach_index"):
             cache.gather(np.array([0]))
 
+    def test_introspection_requires_index(self):
+        cache = BucketedArrayCache(4, 100, n_buckets=3)
+        with pytest.raises(RuntimeError, match="attach_index"):
+            cache.load_factor()
+        with pytest.raises(RuntimeError, match="attach_index"):
+            cache.n_colliding_keys()
+
     def test_make_cache_builds_engine_with_buckets(self):
         cache = make_cache("bucketed-array", 4, 20, 0, n_buckets=3)
         assert isinstance(cache, BucketedArrayCache)
@@ -123,6 +130,13 @@ class TestScores:
         np.testing.assert_allclose(
             cache.gather_scores(np.array([0]))[0], [0.1, 0.2, 0.3]
         )
+
+    def test_scores_by_any_colliding_key(self):
+        """Key-addressed scores hash the key, indexed or not."""
+        cache = _cache(size=2, n_buckets=1, store_scores=True)
+        cache.scatter(np.array([3]), np.array([[5, 6]]), np.array([[0.5, 0.6]]))
+        np.testing.assert_allclose(cache.scores((1, 2)), [0.5, 0.6])
+        np.testing.assert_allclose(cache.scores((123, 456)), [0.5, 0.6])
 
     def test_scores_require_flag(self):
         cache = _cache(size=3, n_buckets=2)
