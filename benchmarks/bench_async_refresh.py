@@ -192,7 +192,7 @@ def period_throughput(dataset, *, period, batch_size, n1=PAPER_N1,
     )
     sampler.bind(model, dataset, rng=SEED)
     registry = MetricsRegistry()
-    sampler.metrics = registry
+    sampler.instrument(None, registry)
     rows = sampler.precompute_rows(dataset.train)
     try:
         first = np.arange(min(batch_size, len(dataset.train)))

@@ -6,11 +6,14 @@ near-free when on.  This benchmark measures full ``NSCachingSampler``
 ``update()`` throughput at the paper defaults (N1 = N2 = 50, batch 1024)
 in three configurations:
 
-1. **off** — no registry attached (the seed configuration);
-2. **on** — a :class:`~repro.obs.registry.MetricsRegistry` attached to
-   the sampler, folding per-refresh counters on every batch;
-3. **on + spans** — the same registry plus the trainer-style phase
-   timers wrapped around each update (what ``--metrics-out`` costs).
+1. **off** — nothing attached (the seed configuration);
+2. **on** — what the trainer attaches to the sampler under
+   ``--metrics-out``: a :class:`~repro.obs.registry.MetricsRegistry`
+   (per-refresh counters on every batch) and a ring-less
+   :class:`~repro.obs.trace.Tracer` aggregating the ``score_candidates``
+   phase spans;
+3. **on + spans** — the same plus the trainer's ``cache_update`` phase
+   span wrapped around each update (what ``--metrics-out`` costs).
 
 The off/on passes are interleaved (off, on, off, on, ...) so thermal
 drift and allocator state hit both arms equally, and the median pass is
@@ -38,7 +41,7 @@ from repro.bench.tables import format_table
 from repro.core.nscaching import NSCachingSampler
 from repro.data.benchmarks import fb15k_like
 from repro.obs.registry import MetricsRegistry
-from repro.utils.timer import Timer
+from repro.obs.trace import Tracer
 
 SEED = 0
 SCALE = 0.3
@@ -68,7 +71,7 @@ def _one_pass(sampler, dataset, rows, batch_size, *, spans=None):
         indices = np.arange(start, start + batch_size)
         batch = dataset.train[indices]
         if spans is not None:
-            with spans:
+            with spans.start_span("cache_update", "train"):
                 sampler.update(batch, batch, rows.take(indices))
         else:
             sampler.update(batch, batch, rows.take(indices))
@@ -82,7 +85,7 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
     dataset = fb15k_like(seed=SEED, scale=scale)
     batch_size = min(batch_size, len(dataset.train))
     registry = MetricsRegistry()
-    spans = Timer()
+    spans = Tracer(capacity=0)  # the trainer's tracer without --trace-out
 
     arms = {"off": [], "on": [], "on + spans": []}
     sampler = _make_sampler(dataset, n1, n2)
@@ -93,10 +96,10 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
         sampler.update(dataset.train[first], dataset.train[first],
                        rows.take(first))
         for _ in range(pass_pairs):
-            sampler.metrics = None
+            sampler.instrument(None, None)
             seconds, n = _one_pass(sampler, dataset, rows, batch_size)
             arms["off"].append(n / seconds)
-            sampler.metrics = registry
+            sampler.instrument(spans, registry)
             seconds, n = _one_pass(sampler, dataset, rows, batch_size)
             arms["on"].append(n / seconds)
             seconds, n = _one_pass(sampler, dataset, rows, batch_size,

@@ -9,8 +9,9 @@ configurations:
 
 1. **off** — no tracer attached (the seed configuration, bit-identical
    to it by the ``tests/train/test_trainer_trace.py`` contract);
-2. **on** — a :class:`~repro.obs.trace.Tracer` attached to the sampler,
-   recording a ``refresh_side`` span per cache refresh;
+2. **on** — a :class:`~repro.obs.trace.Tracer` attached to the sampler
+   (``instrument``), recording a ``score_candidates`` phase span per
+   cache side into its ring and aggregate;
 3. **on + update span** — the same tracer plus a trainer-style span
    wrapped around every ``update()`` call (what ``--trace-out`` costs
    per phase).
@@ -70,7 +71,7 @@ def _one_pass(sampler, dataset, rows, batch_size, *, tracer=None):
         indices = np.arange(start, start + batch_size)
         batch = dataset.train[indices]
         if tracer is not None:
-            with tracer.start_span("update", "train"):
+            with tracer.start_span("cache_update", "train"):
                 sampler.update(batch, batch, rows.take(indices))
         else:
             sampler.update(batch, batch, rows.take(indices))
@@ -94,10 +95,10 @@ def run_benchmark(scale=SCALE, batch_size=PAPER_BATCH, n1=PAPER_N1,
         sampler.update(dataset.train[first], dataset.train[first],
                        rows.take(first))
         for _ in range(pass_pairs):
-            sampler.tracer = None
+            sampler.instrument(None, None)
             seconds, n = _one_pass(sampler, dataset, rows, batch_size)
             arms["off"].append(n / seconds)
-            sampler.tracer = tracer
+            sampler.instrument(tracer, None)
             seconds, n = _one_pass(sampler, dataset, rows, batch_size)
             arms["on"].append(n / seconds)
             seconds, n = _one_pass(sampler, dataset, rows, batch_size,

@@ -57,8 +57,6 @@ contrasts with IGAN/KBGAN.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # runtime imports stay lazy to keep repro.parallel optional
@@ -80,9 +78,9 @@ from repro.data.keyindex import TripleKeyIndex
 from repro.data.triples import HEAD, REL, TAIL
 from repro.models.base import CANDIDATE_MODES, KGEModel
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, span
+from repro.optim.base import DirtyMark
 from repro.sampling.base import NegativeSampler
-from repro.utils.timer import Timer
 
 __all__ = [
     "BatchRows",
@@ -95,9 +93,6 @@ __all__ = [
 
 #: The cache storage schemes ``cache_backend`` selects between.
 CACHE_ENGINES: tuple[str, ...] = ("array", "bucketed-array", "sharded-array")
-
-_NULL_CONTEXT = nullcontext()
-
 
 def check_cache_engine(
     backend: str, n_buckets: int | None = None, n_shards: int | None = None
@@ -184,7 +179,7 @@ def refresh_rows(
     update_strategy: UpdateStrategy,
     rng: np.random.Generator,
     union: np.ndarray | None = None,
-    score_timer: Timer | None = None,
+    tracer: Tracer | None = None,
 ) -> int:
     """Algorithm 3 for one cache side, vectorised over ``rows``; returns CE.
 
@@ -200,6 +195,9 @@ def refresh_rows(
     Non-finite candidate scores raise ``ValueError`` before anything is
     written: softmax selection over NaN/inf picks arbitrary ids.
 
+    With a ``tracer`` the scoring call is recorded as the
+    ``score_candidates`` phase span (args: ``mode``, ``rows``).
+
     Both the sequential refresh and the refresh pool's workers run this
     function; ``select_cache_survivors`` and ``selection_changed_elements``
     are looked up in this module at call time.
@@ -211,7 +209,7 @@ def refresh_rows(
     union[:, n1:] = rng.integers(
         0, n_entities, size=(len(rows), candidate_size), dtype=np.int64
     )
-    with score_timer if score_timer is not None else _NULL_CONTEXT:
+    with span(tracer, "score_candidates", "train", {"mode": mode, "rows": len(rows)}):
         scores = model.score_candidates(anchors, relations, union, mode)
     finite = np.isfinite(scores)
     if not finite.all():
@@ -233,14 +231,11 @@ class _RefreshMetrics:
 
     Built once when a :class:`~repro.obs.registry.MetricsRegistry` is
     attached, so a refresh pays a handful of attribute adds — never a
-    registry lookup.  All counters carry a ``mode`` label (head/tail
-    cache); the per-shard series add a ``shard`` label and are created
-    lazily per touched shard.
+    registry lookup.  The refresh counters carry a ``mode`` label
+    (head/tail cache).  Timings are not counted here: they are spans.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
         def per_mode(name: str, help: str) -> dict[str, object]:
             return {
                 mode: registry.counter(name, help, labels={"mode": mode})
@@ -261,13 +256,6 @@ class _RefreshMetrics:
             "cache_changed_elements_total",
             "cache elements replaced by refreshes (the CE / churn metric)",
         )
-        self.task_seconds = registry.histogram(
-            "refresh_task_seconds", "per-shard refresh task execution time"
-        )
-        self.last_queue_wait = registry.gauge(
-            "refresh_last_queue_wait_seconds",
-            "max dispatch-to-start latency of the most recent pooled refresh",
-        )
         self.sync_bytes = registry.counter(
             "param_sync_bytes_total",
             "parameter bytes published into the refresh pool's shared blocks",
@@ -284,37 +272,6 @@ class _RefreshMetrics:
             "param_sync_dirty_fraction",
             "fraction of full parameter bytes the most recent sync shipped",
         )
-        self.overlap_wait_seconds = registry.counter(
-            "refresh_overlap_wait_seconds_total",
-            "time spent waiting on overlapped refreshes at collect",
-        )
-        self._shards: dict[tuple[str, int], tuple[object, object, object]] = {}
-
-    def shard(self, mode: str, shard: int) -> tuple[object, object, object]:
-        """(seconds, tasks, queue-wait) counters for one (mode, shard)."""
-        key = (mode, shard)
-        handles = self._shards.get(key)
-        if handles is None:
-            labels = {"mode": mode, "shard": shard}
-            handles = (
-                self.registry.counter(
-                    "refresh_task_seconds_total",
-                    "cumulative refresh task seconds per shard",
-                    labels=labels,
-                ),
-                self.registry.counter(
-                    "refresh_tasks_total",
-                    "refresh tasks executed per shard",
-                    labels=labels,
-                ),
-                self.registry.counter(
-                    "refresh_queue_wait_seconds_total",
-                    "cumulative dispatch-to-start wait per shard",
-                    labels=labels,
-                ),
-            )
-            self._shards[key] = handles
-        return handles
 
 
 class BatchRows(NamedTuple):
@@ -462,20 +419,11 @@ class NSCachingSampler(NegativeSampler):
         self.key_index: TripleKeyIndex | None = None
         self.head_cache: ArrayNegativeCache | None = None
         self.tail_cache: ArrayNegativeCache | None = None
-        #: Optional stopwatch the trainer attaches under ``--profile`` to
-        #: time candidate scoring separately from the rest of the refresh.
-        self.score_timer: Timer | None = None
-        #: Optional stopwatch for the parallel-refresh dispatch+wait (the
-        #: trainer's ``parallel_refresh`` profile phase).
-        self.parallel_timer: Timer | None = None
-        #: Optional span tracer the trainer attaches (``--trace-out``).
-        #: Refreshes then record ``refresh_side``/``dispatch``/``collect``
-        #: spans, and the pooled refresh merges the workers' shipped spans
-        #: into this ring.  ``None`` (the default) keeps the exact seed
-        #: code path.  Attach before the first parallel update(): workers
-        #: inherit their rings at fork.
+        #: Span tracer attached by :meth:`instrument` (``None`` = the exact
+        #: seed code path).
         self.tracer: Tracer | None = None
-        self._metrics: MetricsRegistry | None = None
+        #: Metrics registry attached by :meth:`instrument`.
+        self.metrics: MetricsRegistry | None = None
         self._mh: _RefreshMetrics | None = None  # pre-resolved handles
         self._union: np.ndarray | None = None  # sequential candidate buffer
         self._pool: RefreshPool | None = None  # created on first parallel update
@@ -550,23 +498,26 @@ class NSCachingSampler(NegativeSampler):
         self._epoch_batch = 0
 
     # -- observability --------------------------------------------------------
-    @property
-    def metrics(self) -> MetricsRegistry | None:
-        """The attached metrics registry (``None`` = uninstrumented).
+    def instrument(
+        self, tracer: Tracer | None, metrics: MetricsRegistry | None
+    ) -> None:
+        """Attach a span tracer and a metrics registry (``None`` detaches).
 
-        Attaching a registry resolves all instrument handles once; every
-        refresh then reports batches/rows/candidates/changed-elements per
-        cache side, and the pooled refresh adds per-shard task timings.
-        With no registry attached the hot paths take the exact seed code
-        path — training stays bit-identical (bench X8 pins the
-        instrumented overhead < 3%).
+        With a tracer, refreshes record the trainer's nested phases —
+        ``score_candidates`` (sequential scoring), ``parallel_refresh``
+        (pooled dispatch+wait) and ``refresh_overlap`` (collecting an
+        overlapped refresh) — and the refresh pool ships its workers'
+        ``shard_task``/``queue_wait`` spans back into it.  Attach before
+        the first parallel update(): workers inherit tracing at fork.
+        With a registry, every refresh reports batches/rows/candidates/
+        changed-elements per cache side and the pool its parameter
+        syncs, through handles resolved once here.  With neither the hot
+        paths take the exact seed code path — training stays
+        bit-identical (bench X8/X11 pin the instrumented overhead < 3%).
         """
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: MetricsRegistry | None) -> None:
-        self._metrics = registry
-        self._mh = None if registry is None else _RefreshMetrics(registry)
+        self.tracer = tracer
+        self.metrics = metrics
+        self._mh = None if metrics is None else _RefreshMetrics(metrics)
 
     # -- row resolution -----------------------------------------------------------
     def precompute_rows(self, triples: np.ndarray) -> BatchRows:
@@ -666,17 +617,8 @@ class NSCachingSampler(NegativeSampler):
         if self.refresh_workers > 1:
             self._parallel_refresh(batch, rows, modes, batch_index)
             return
-        tracer = self.tracer
         for mode in modes:
-            side_rows = rows.head if mode == "head" else rows.tail
-            if tracer is not None:
-                with tracer.start_span(
-                    "refresh_side", "refresh",
-                    args={"mode": mode, "rows": int(len(batch))},
-                ):
-                    self._refresh_side(batch, side_rows, mode)
-            else:
-                self._refresh_side(batch, side_rows, mode)
+            self._refresh_side(batch, rows.head if mode == "head" else rows.tail, mode)
 
     def _union_buffer(self, n_rows: int) -> np.ndarray:
         """Persistent ``[B, N1+N2]`` block the sequential refresh fills."""
@@ -702,7 +644,7 @@ class NSCachingSampler(NegativeSampler):
             update_strategy=self.update_strategy,
             rng=self.rng,
             union=self._union_buffer(len(batch)),
-            score_timer=self.score_timer,
+            tracer=self.tracer,
         )
         if self._mh is not None:
             self._observe_refresh(mode, len(batch), ce)
@@ -747,6 +689,10 @@ class NSCachingSampler(NegativeSampler):
             ).start()
         return self._pool
 
+    def dirty_mark(self) -> DirtyMark | None:
+        """:meth:`mark_dirty_params` when refreshes run on a pool, else None."""
+        return self.mark_dirty_params if self.refresh_workers > 1 else None
+
     def mark_dirty_params(self, name: str, rows: np.ndarray) -> None:
         """Report that ``model.params[name][rows]`` changed (dirty sync).
 
@@ -764,28 +710,19 @@ class NSCachingSampler(NegativeSampler):
         The collect half of the overlap pipeline: blocks until the
         in-flight batch's workers finish (usually they already have — the
         gradient/optimizer step ran in between) and folds their counter
-        deltas into the stores.  A no-op when nothing is pending, so the
-        trainer and the sampler's own cache-reading paths can call it
-        unconditionally.
+        deltas into the stores, recorded as the ``refresh_overlap`` phase.
+        A no-op when nothing is pending, so the trainer and the sampler's
+        own cache-reading paths can call it unconditionally.
         """
         pool = self._pool
         if pool is None or not pool.inflight:
             return
-        span = (
-            self.tracer.start_span("collect", "refresh")
-            if self.tracer is not None
-            else None
-        )
-        started = time.perf_counter()  # repro-lint: ignore[RPL005] -- telemetry only (overlap wait)
-        try:
-            results = pool.collect()
-        finally:
-            modes, self._pending_modes = self._pending_modes, None
-            if span is not None:
-                span.end()
-        self._fold_results(results, modes or CANDIDATE_MODES)
-        if self._mh is not None:
-            self._mh.overlap_wait_seconds.inc(time.perf_counter() - started)  # repro-lint: ignore[RPL005] -- telemetry only
+        with span(self.tracer, "refresh_overlap", "train"):
+            try:
+                results = pool.collect()
+            finally:
+                modes, self._pending_modes = self._pending_modes, None
+            self._fold_results(results, modes or CANDIDATE_MODES)
 
     def _build_tasks(
         self,
@@ -815,7 +752,6 @@ class NSCachingSampler(NegativeSampler):
                         anchors=anchors[positions],
                         relations=relations[positions],
                         rows=storage_rows[positions],
-                        enqueued_at=time.monotonic(),  # repro-lint: ignore[RPL005] -- queue-wait telemetry stamp
                     )
                 )
         return tasks
@@ -835,22 +771,12 @@ class NSCachingSampler(NegativeSampler):
         backend-agnostic.  With :attr:`refresh_overlap` only the dispatch
         half runs here — the tasks execute against the pre-step parameter
         snapshot while the trainer computes the step, and
-        :meth:`collect_refreshes` folds the results in later.
+        :meth:`collect_refreshes` folds the results in later.  The
+        dispatch+wait is recorded as the ``parallel_refresh`` phase.
         """
         pool = self._ensure_pool()
         self.collect_refreshes()  # at most one batch in flight
-        timer = self.parallel_timer
-        tracer = self.tracer
-        span = (
-            tracer.start_span(
-                "dispatch" if self.refresh_overlap else "refresh",
-                "refresh",
-                args={"batch": batch_index},
-            )
-            if tracer is not None
-            else None
-        )
-        with timer if timer is not None else _NULL_CONTEXT:
+        with span(self.tracer, "parallel_refresh", "train", {"batch": batch_index}):
             tasks = self._build_tasks(batch, rows, modes, batch_index)
             if self.refresh_overlap:
                 if pool.dispatch(tasks):
@@ -858,8 +784,6 @@ class NSCachingSampler(NegativeSampler):
                 results = None
             else:
                 results = pool.refresh(tasks)
-        if span is not None:
-            span.end()
         if tasks and self._mh is not None and pool.last_sync is not None:
             self._observe_sync(pool.last_sync)
         if results is not None:
@@ -880,7 +804,6 @@ class NSCachingSampler(NegativeSampler):
         """Fold completed shard results into store counters and metrics."""
         h = self._mh
         tracer = self.tracer
-        max_wait = 0.0
         for result in results:
             cache = self.head_cache if result.mode == "head" else self.tail_cache
             assert cache is not None
@@ -896,16 +819,9 @@ class NSCachingSampler(NegativeSampler):
                     result.n_rows * (self.cache_size + self.candidate_size)
                 )
                 h.changed[result.mode].inc(result.changed)
-                h.task_seconds.observe(result.seconds)
-                seconds, tasks_done, wait = h.shard(result.mode, result.shard)
-                seconds.inc(result.seconds)
-                tasks_done.inc()
-                wait.inc(result.queue_wait)
-                max_wait = max(max_wait, result.queue_wait)
         if h is not None:
             for mode in modes:
                 h.batches[mode].inc()
-            h.last_queue_wait.set(max_wait)
 
     # -- introspection ---------------------------------------------------------------
     def cache_memory_bytes(self) -> int:

@@ -4,11 +4,12 @@ Kernel modules (``models/*``, ``core/*``) are the code whose outputs
 must be bit-identical under a seed and whose phase costs the profiler
 attributes exactly.  A stray ``time.time()`` / ``time.perf_counter()``
 there either leaks timing into logic or double-counts a phase that the
-sanctioned :class:`repro.utils.timer.Timer` (and the obs phase spans
-built on it) already measures.  Timing belongs to the orchestration
-layers — trainer, pool, eval drivers — or to an explicitly pragma'd
-telemetry site.  Importing :mod:`repro.obs.clock` into a kernel is the
-same violation with a detour, so that import is banned there too.
+obs spans already measure.  A kernel that needs a region timed opens a
+span on the :class:`repro.obs.trace.Tracer` it was handed (the tracer
+reads the clock, the kernel does not); everything else is timed by the
+orchestration layers — trainer, pool, eval drivers.  Importing
+:mod:`repro.obs.clock` into a kernel is the same violation with a
+detour, so that import is banned there too.
 
 The observability package has the complementary invariant: spans, run
 logs and metrics must share *one* time axis, so every ``obs/`` module
@@ -52,9 +53,9 @@ class KernelWallClockRule(Rule):
             yield from self._clock_reads(
                 ctx,
                 "read inside a kernel module; kernels must stay "
-                "clock-free (profile via repro.utils.timer.Timer in the "
-                "orchestration layer, or pragma a telemetry-only site "
-                "with a reason)",
+                "clock-free (time a region with a span of the "
+                "repro.obs.trace.Tracer the caller passes in, or from "
+                "the orchestration layer)",
             )
             yield from self._clock_imports(ctx)
         elif ctx.is_obs:

@@ -11,9 +11,14 @@ spans.  The design constraints mirror the registry's:
   untraced run executes the exact seed code path (asserted bit-identical
   by ``tests/train/test_trainer_trace.py``).
 * **Enabled means cheap.**  ``start_span`` allocates one slotted object
-  and reads one clock; ``end`` reads the clock again and appends under a
-  lock (the serve layer traces from handler threads).  Bench X11 pins
-  the whole thing ≤ 3% on the update() hot loop.
+  and reads one clock; ``end`` reads the clock again and folds the span
+  in under a lock (the serve layer traces from handler threads).  Bench
+  X11 pins the whole thing ≤ 3% on the update() hot loop.
+* **One source for every view.**  A tracer also keeps a running
+  aggregate per span name — calls, total and *self* seconds (duration
+  minus direct children, via a per-thread stack of open spans) — which
+  the trainer's profile table, metrics and run log read.
+  ``Tracer(capacity=0)`` keeps only the aggregate.
 * **One time axis.**  Timestamps come from
   :func:`repro.obs.clock.monotonic`, which is system-wide on Linux —
   spans recorded inside ``fork``-ed :class:`~repro.parallel.pool`
@@ -28,7 +33,8 @@ trace-event JSON (:func:`chrome_trace`), loadable in Perfetto or
 :func:`overlap_report` are the analysis behind ``repro trace summary``:
 per-category totals with self-time (child spans carved out of their
 parents) and the fraction of worker refresh time hidden behind the
-trainer's gradient/optimizer phases.
+trainer's gradient/optimizer phases.  :func:`span_totals` rebuilds the
+aggregate from a trace file.
 """
 
 from __future__ import annotations
@@ -36,21 +42,25 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, ContextManager, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.obs import clock
 from repro.obs.runlog import RUN_LOG_VERSION, RunLogError, read_run_log, validate_record
 
 __all__ = [
     "Span",
+    "SpanTotals",
     "Tracer",
+    "span",
     "chrome_trace",
     "validate_chrome_trace",
     "write_trace",
     "read_trace",
     "category_summary",
     "overlap_report",
+    "span_totals",
 ]
 
 #: Default ring capacity: ~2 spans per update() at paper batch sizes keeps
@@ -59,6 +69,31 @@ DEFAULT_CAPACITY = 65536
 
 #: Sentinel duration of a span that has not ended yet.
 _OPEN = -1.0
+
+#: Worker spans whose aggregate rows are split by their ``mode``/``shard``
+#: args (the per-shard refresh series).
+_PER_SHARD = frozenset({"shard_task", "queue_wait"})
+
+#: An aggregate row's key: span name plus ``(label, value)`` pairs (empty
+#: except for :data:`_PER_SHARD` spans) — the registry's key shape.
+TotalsKey = tuple[str, tuple[tuple[str, str], ...]]
+
+_NO_SPAN = nullcontext()
+
+
+class SpanTotals(NamedTuple):
+    """One aggregate row: how often a span ran and where its time went."""
+
+    calls: int
+    seconds: float
+    #: ``seconds`` minus the time of the span's direct children.
+    self_seconds: float
+
+
+def _totals_key(name: str, args: Mapping[str, Any] | None) -> TotalsKey:
+    if name in _PER_SHARD and args:
+        return (name, (("mode", str(args.get("mode"))), ("shard", str(args.get("shard")))))
+    return (name, ())
 
 
 class Span:
@@ -71,7 +106,10 @@ class Span:
     later calls return the same duration.
     """
 
-    __slots__ = ("name", "category", "start", "duration", "pid", "tid", "args", "_tracer")
+    __slots__ = (
+        "name", "category", "start", "duration", "pid", "tid", "args",
+        "_tracer", "_parent", "_children",
+    )
 
     def __init__(
         self,
@@ -91,6 +129,8 @@ class Span:
         self.tid = tid
         self.args = args
         self._tracer = tracer
+        self._parent: Span | None = None  # innermost open span at start
+        self._children = 0.0  # summed durations of finished direct children
 
     def end(self) -> float:
         """Stamp the duration, record the span, return the duration."""
@@ -98,7 +138,7 @@ class Span:
             self.duration = clock.monotonic() - self.start
             tracer, self._tracer = self._tracer, None
             if tracer is not None:
-                tracer._record(self)
+                tracer._finish(self)
         return self.duration
 
     def __enter__(self) -> "Span":
@@ -129,18 +169,20 @@ class Span:
 
 
 class Tracer:
-    """A preallocated ring buffer of finished spans.
+    """A preallocated ring buffer of finished spans plus their aggregate.
 
     ``capacity`` bounds memory up front; once full, the oldest span is
     overwritten and :attr:`dropped` counts the loss (a truncated-head
     timeline is still a valid timeline — the alternative, unbounded
-    growth, is not an option inside forked workers).  Thread-safe on the
-    recording side: the serve handler traces from worker threads.
+    growth, is not an option inside forked workers).  ``capacity=0``
+    keeps no ring at all: only the aggregate of :meth:`totals`, which
+    never drops anything.  Thread-safe on the recording side: the serve
+    handler traces from worker threads.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
         self._ring: list[Span | None] = [None] * self.capacity
         self._next = 0
@@ -148,6 +190,8 @@ class Tracer:
         self._lock = threading.Lock()
         #: Spans overwritten because the ring was full.
         self.dropped = 0
+        self._totals: dict[TotalsKey, list[float]] = {}  # [calls, s, self s]
+        self._stack = threading.local()  # .top: the thread's innermost open span
 
     def start_span(
         self,
@@ -156,18 +200,34 @@ class Tracer:
         args: Mapping[str, Any] | None = None,
     ) -> Span:
         """An open span starting now; finish it with ``end()``/``with``."""
-        return Span(
-            name,
-            category,
-            clock.monotonic(),
-            os.getpid(),
-            threading.get_native_id(),
-            args,
-            self,
+        span = Span(
+            name, category, clock.monotonic(), os.getpid(),
+            threading.get_native_id(), args, self,
         )
+        span._parent = getattr(self._stack, "top", None)
+        self._stack.top = span
+        return span
 
-    def _record(self, span: Span) -> None:
+    def _finish(self, span: Span) -> None:
+        """Pop a just-ended span off its thread's stack and record it."""
+        parent, span._parent = span._parent, None
+        if getattr(self._stack, "top", None) is span:
+            self._stack.top = parent
+        if parent is not None and parent.duration == _OPEN:
+            parent._children += span.duration
+        self._record(span, span.duration - span._children)
+
+    def _record(self, span: Span, self_seconds: float) -> None:
+        key = _totals_key(span.name, span.args)
         with self._lock:
+            row = self._totals.get(key)
+            if row is None:
+                row = self._totals[key] = [0, 0.0, 0.0]
+            row[0] += 1
+            row[1] += span.duration
+            row[2] += max(0.0, self_seconds)
+            if not self.capacity:
+                return
             if self._count == self.capacity:
                 self.dropped += 1
             else:
@@ -176,14 +236,16 @@ class Tracer:
             self._next = (self._next + 1) % self.capacity
 
     def ingest(self, records: Iterable[Mapping[str, Any]]) -> int:
-        """Fold already-finished span records into the ring.
+        """Fold already-finished span records into the ring and aggregate.
 
         The cross-process merge: refresh workers drain their local rings
         into ``ShardResult.spans`` and the parent's sampler calls this.
-        Returns the number of spans folded in.
+        Self seconds come from nesting among the ingested records (same
+        pid/tid, contained in time).  Returns the number of spans folded
+        in.
         """
-        n = 0
-        for record in records:
+        records = list(records)
+        for record, self_seconds in zip(records, _self_seconds(records)):
             span = Span(
                 str(record["name"]),
                 str(record.get("cat", "")),
@@ -194,9 +256,23 @@ class Tracer:
                 None,
             )
             span.duration = float(record["dur"])
-            self._record(span)
-            n += 1
-        return n
+            self._record(span, self_seconds)
+        return len(records)
+
+    def totals(self) -> dict[TotalsKey, SpanTotals]:
+        """The aggregate: one :class:`SpanTotals` per span name (per
+        ``(mode, shard)`` for worker ``shard_task``/``queue_wait`` spans)."""
+        with self._lock:
+            return {
+                key: SpanTotals(int(calls), seconds, self_seconds)
+                for key, (calls, seconds, self_seconds) in self._totals.items()
+            }
+
+    def self_seconds(self, name: str) -> float:
+        """Summed self seconds of the finished spans called ``name``."""
+        with self._lock:
+            row = self._totals.get((name, ()))
+            return row[2] if row is not None else 0.0
 
     def __len__(self) -> int:
         return self._count
@@ -227,6 +303,23 @@ class Tracer:
             f"Tracer(capacity={self.capacity}, spans={self._count}, "
             f"dropped={self.dropped})"
         )
+
+
+def span(
+    tracer: Tracer | None,
+    name: str,
+    category: str = "",
+    args: Mapping[str, Any] | None = None,
+) -> ContextManager[object]:
+    """A span of ``tracer``, or a no-op context when it is ``None``."""
+    return _NO_SPAN if tracer is None else tracer.start_span(name, category, args)
+
+
+def span_totals(records: Iterable[Mapping[str, Any]]) -> dict[TotalsKey, SpanTotals]:
+    """The :meth:`Tracer.totals` aggregate of a trace file's records."""
+    tracer = Tracer(capacity=0)
+    tracer.ingest(records)
+    return tracer.totals()
 
 
 # -- trace files (JSONL span records) ------------------------------------------
@@ -334,9 +427,9 @@ def category_summary(
     """Per-category span counts, total seconds and *self* seconds.
 
     Self time carves each span's direct children (same pid/tid, nested
-    inside it) out of its own duration — so ``cache_update`` does not
-    double-count the ``refresh_side`` spans running inside it.  Rows are
-    sorted by self seconds, descending.
+    inside it) out of its own duration — so ``epoch`` does not
+    double-count the phase spans running inside it.  Rows are sorted by
+    self seconds, descending.
     """
     self_seconds = _self_seconds(records)
     totals: dict[str, dict[str, float]] = {}

@@ -48,9 +48,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_module
-import threading
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -59,6 +57,7 @@ from repro.core.array_cache import ArrayNegativeCache
 from repro.core.nscaching import refresh_rows
 from repro.core.strategies import UpdateStrategy
 from repro.models.base import CANDIDATE_MODES, KGEModel
+from repro.obs import clock
 from repro.parallel.dirty import DirtyRowTracker
 from repro.parallel.sharded import ShardedCacheStore, SharedArrayBlock
 
@@ -85,28 +84,23 @@ class ShardTask:
     anchors: np.ndarray
     relations: np.ndarray
     rows: np.ndarray  # storage rows, all inside the shard's range
-    #: ``time.monotonic()`` at dispatch (0.0 = not stamped).  On Linux the
-    #: monotonic clock is system-wide, so a forked worker can subtract it
-    #: from its own reading to measure queue wait.
+    #: :func:`repro.obs.clock.monotonic` at dispatch, stamped by a tracing
+    #: pool (0.0 = not stamped).  On Linux the monotonic clock is
+    #: system-wide, so a forked worker can subtract it from its own
+    #: reading to measure queue wait.
     enqueued_at: float = 0.0
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """Counter deltas and timings a completed task reports back.
+    """Counter deltas a completed task reports back.
 
-    ``seconds`` is the task's execution wall time inside the worker;
-    ``queue_wait`` the dispatch→start latency (0.0 when the task was not
-    stamped); ``worker_pid`` identifies which process ran it (the parent
-    pid under the inline fallback).  The sampler folds these into its
-    metrics registry, giving the per-shard refresh timings of the run
-    log and ``/metrics``.
-
-    ``spans`` piggybacks the worker's finished trace spans (schema-v2
-    ``span`` record dicts) when the pool was built with ``trace=True`` —
-    the result queue is the only parent↔worker channel, so shipping the
-    timeline on the results needs no extra plumbing.  Empty when tracing
-    is off, so untraced refreshes move identical bytes.
+    ``worker_pid`` identifies which process ran the task (the parent pid
+    under the inline fallback).  ``spans`` piggybacks the worker's
+    finished trace spans (schema-v2 ``span`` record dicts) when the pool
+    was built with ``trace=True`` — the result queue is the only
+    parent↔worker channel — and are the only task timings.  Empty when
+    tracing is off, so untraced refreshes move identical bytes.
     """
 
     mode: str
@@ -114,8 +108,6 @@ class ShardResult:
     changed: int
     initialised: int
     n_rows: int = 0
-    seconds: float = 0.0
-    queue_wait: float = 0.0
     worker_pid: int = 0
     spans: tuple[dict[str, Any], ...] = ()
 
@@ -166,9 +158,11 @@ class _WorkerState:
     With ``trace=True`` the state carries a
     :class:`~repro.obs.trace.Tracer`: built pre-fork, so every worker
     inherits its *own* copy-on-write ring.  ``run`` records one
-    ``queue_wait`` and one ``shard_task`` span per task (timestamped on
-    the system-wide monotonic axis, comparable with the parent's spans)
-    and drains them into the returned :attr:`ShardResult.spans`.
+    ``shard_task`` span per task and, for a stamped task, the
+    ``queue_wait`` span from the stamp to the task's start (both on the
+    system-wide monotonic axis, comparable with the parent's spans, and
+    both carrying the task's ``mode``/``shard``), and drains them into
+    the returned :attr:`ShardResult.spans`.
     """
 
     def __init__(
@@ -211,26 +205,8 @@ class _WorkerState:
 
     def run(self, task: ShardTask) -> ShardResult:
         """Alg. 3 refresh of one shard slice, against shared storage."""
-        queue_wait = (
-            max(0.0, time.monotonic() - task.enqueued_at)
-            if task.enqueued_at > 0.0
-            else 0.0
-        )
         tracer, task_span = self.tracer, None
         if tracer is not None:
-            if task.enqueued_at > 0.0:
-                # The wait is already over; record it as a pre-finished
-                # span anchored at the dispatch stamp.
-                tracer.ingest((
-                    {
-                        "name": "queue_wait",
-                        "cat": "refresh_worker",
-                        "ts": task.enqueued_at,
-                        "dur": queue_wait,
-                        "pid": os.getpid(),
-                        "tid": threading.get_native_id(),
-                    },
-                ))
             task_span = tracer.start_span(
                 "shard_task",
                 "refresh_worker",
@@ -242,7 +218,6 @@ class _WorkerState:
                     "rows": int(len(task.rows)),
                 },
             )
-        started = time.perf_counter()
         model = self.models[int(self.buffer_flag[0])]
         cache = self.sides[task.mode]
         # Lazy initialisation inside gather draws from the task stream too.
@@ -266,6 +241,20 @@ class _WorkerState:
         if tracer is not None:
             assert task_span is not None
             task_span.end()
+            if task.enqueued_at > 0.0:
+                # The wait ended when the task started; record it as a
+                # pre-finished span anchored at the dispatch stamp.
+                tracer.ingest((
+                    {
+                        "name": "queue_wait",
+                        "cat": "refresh_worker",
+                        "ts": task.enqueued_at,
+                        "dur": max(0.0, task_span.start - task.enqueued_at),
+                        "pid": task_span.pid,
+                        "tid": task_span.tid,
+                        "args": {"mode": task.mode, "shard": task.shard},
+                    },
+                ))
             spans = tuple(tracer.drain())
         return ShardResult(
             task.mode,
@@ -273,8 +262,6 @@ class _WorkerState:
             cache.changed_elements - before_changed,
             cache.initialised_entries - before_init,
             n_rows=len(task.rows),
-            seconds=time.perf_counter() - started,
-            queue_wait=queue_wait,
             worker_pid=os.getpid(),
             spans=spans,
         )
@@ -337,12 +324,13 @@ class RefreshPool:
         un-marked runs take the full copy, so results are identical.
     trace:
         Give every worker its own span :class:`~repro.obs.trace.Tracer`
-        (built pre-fork); each task's ``queue_wait``/``shard_task``
-        spans ship back on :attr:`ShardResult.spans` for the caller to
-        merge into one timeline.  Off by default — tracing never touches
-        the refresh math, only whether span dicts ride the result queue.
-        Must be decided before :meth:`start` (workers inherit the state
-        at fork).
+        (built pre-fork) and stamp every task at :meth:`dispatch`; each
+        task's ``queue_wait``/``shard_task`` spans ship back on
+        :attr:`ShardResult.spans` for the caller to merge into one
+        timeline.  Off by default — tracing never touches the refresh
+        math, only whether span dicts ride the result queue.  Must be
+        decided before :meth:`start` (workers inherit the state at
+        fork).
     """
 
     def __init__(
@@ -630,6 +618,9 @@ class RefreshPool:
         if not self._started:
             self.start()
         assert self._state is not None and self._flag_block is not None
+        if self.trace:
+            stamp = clock.monotonic()
+            tasks = [replace(task, enqueued_at=stamp) for task in tasks]
         self.sync_params()
         assert self._flag_block.array is not None
         self._flag_block.array[0] = self._publish

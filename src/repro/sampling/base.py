@@ -6,6 +6,9 @@ scores are available the trainer calls :meth:`NegativeSampler.update`, which
 is where stateful samplers (NSCaching's cache refresh, KBGAN/IGAN generator
 training) do their work.
 
+Besides ``sample``/``update`` the trainer drives a sampler only through
+the *trainer hooks* below, whose defaults suit a stateless sampler.
+
 All samplers share the Bernoulli head-vs-tail coin of Wang et al. (2014):
 the corrupted side is chosen per relation with probability
 ``tph / (tph + hpt)`` (paper §IV-B1 applies this to KBGAN and NSCaching as
@@ -15,6 +18,7 @@ well as the Bernoulli baseline).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -22,9 +26,20 @@ from repro.data.dataset import KGDataset
 from repro.data.relations import bernoulli_head_probabilities
 from repro.data.triples import HEAD, REL, TAIL
 from repro.models.base import KGEModel
+from repro.optim.base import DirtyMark
 from repro.utils.rng import ensure_rng
 
-__all__ = ["NegativeSampler"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.trace import Tracer
+
+__all__ = ["NegativeSampler", "SampleRows"]
+
+
+class SampleRows(Protocol):
+    """Per-triple rows a sampler precomputes for a whole split."""
+
+    def take(self, indices: np.ndarray) -> "SampleRows": ...
 
 
 class NegativeSampler(ABC):
@@ -101,6 +116,38 @@ class NegativeSampler(ABC):
     def on_epoch_start(self, epoch: int) -> None:
         """Epoch notification (lazy cache updates key off this)."""
         self.epoch = int(epoch)
+
+    # -- trainer hooks -----------------------------------------------------------
+    def instrument(
+        self, tracer: Tracer | None, metrics: MetricsRegistry | None
+    ) -> None:
+        """Attach the trainer's span tracer and metrics registry (``None``
+        detaches); called after :meth:`bind`, before the first update."""
+
+    def precompute_rows(self, triples: np.ndarray) -> SampleRows | None:
+        """Rows for every triple, sliced per batch into ``rows`` (``None``:
+        the sampler takes no rows)."""
+        return None
+
+    def collect_refreshes(self) -> None:
+        """Finish work an earlier :meth:`update` left in flight."""
+
+    def dirty_mark(self) -> DirtyMark | None:
+        """The optimiser's ``dirty_mark(name, rows)`` callback (``None``:
+        the sampler keeps no parameter copy to sync)."""
+        return None
+
+    def changed_elements(self, reset: bool = False) -> int | None:
+        """Cache elements replaced since the last reset (Fig. 8); ``None``
+        for samplers without a cache."""
+        return None
+
+    def cache_stats(self) -> dict[str, object]:
+        """Cache introspection for the ``--profile`` report."""
+        return {}
+
+    def close(self) -> None:
+        """Release held resources (idempotent)."""
 
     # -- shared corruption helper -----------------------------------------------
     def _corrupt_with(self, batch: np.ndarray, replacements: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ plots *training* time).
 the disjoint phase seconds, and — via registry snapshot deltas — the
 cache-health block: churn, survivor fraction, refresh counters and
 per-shard task timings).  The trainer appends it automatically when
-constructed with ``metrics_out=...``.
+constructed with ``metrics_out=...`` and closes its writer in
+``Trainer.close()``, so a continued ``run()`` keeps logging.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.nscaching import NSCachingSampler
 from repro.core.stats import EpochSeries
 from repro.eval.protocol import evaluate
 from repro.obs.registry import MetricsRegistry
@@ -183,10 +185,11 @@ class RunLogCallback(Callback):
     """Stream one run-log record per epoch to a JSONL file.
 
     Epoch records combine three sources: the trainer's aggregate stats
-    (loss, NZL, gradient norm, wall seconds), the phase stopwatches
-    (reported as per-epoch deltas of the disjoint partition), and — when
-    a registry is attached — deltas of the sampler's refresh counters
-    (churn, refreshed rows, scored candidates, per-shard task timings).
+    (loss, NZL, gradient norm, wall seconds), the phase spans' self
+    seconds (reported as per-epoch deltas of the disjoint partition), and
+    — when a registry is attached — deltas of the sampler's refresh
+    counters (churn, refreshed rows, scored candidates) and of the
+    per-shard task timings the trainer mirrors from worker spans.
     The survivor fraction is derived per the cache semantics:
     ``1 - churn / (refreshed_rows * N1)``.
     """
@@ -208,8 +211,7 @@ class RunLogCallback(Callback):
                     "model": type(trainer.model).__name__,
                     "dataset": str(getattr(trainer.dataset, "name", "unknown")),
                     "sampler": str(
-                        getattr(trainer.sampler, "name", None)
-                        or type(trainer.sampler).__name__
+                        trainer.sampler.name or type(trainer.sampler).__name__
                     ),
                     "config": config,
                     "n_train": len(trainer.dataset.train),
@@ -264,7 +266,6 @@ class RunLogCallback(Callback):
                 }
             )
         )
-        self.writer.close()
 
     # -- registry deltas -------------------------------------------------------
     def _cache_delta(
@@ -307,7 +308,8 @@ class RunLogCallback(Callback):
             "candidates": sums.get("cache_refresh_candidates_total", 0.0),
             "refresh_batches": sums.get("cache_refresh_batches_total", 0.0),
         }
-        n1 = int(getattr(trainer.sampler, "cache_size", 0) or 0)
+        sampler = trainer.sampler
+        n1 = sampler.cache_size if isinstance(sampler, NSCachingSampler) else 0
         if refreshed > 0.0 and n1 > 0:
             cache["survivor_fraction"] = round(
                 1.0 - churn / (refreshed * n1), 6
@@ -331,8 +333,8 @@ class CacheSnapshotCallback(Callback):
 
     def on_epoch_end(self, trainer: "Trainer", epoch: int, stats: dict) -> None:
         sampler = trainer.sampler
-        cache = getattr(
-            sampler, "head_cache" if self.head_side else "tail_cache", None
-        )
+        if not isinstance(sampler, NSCachingSampler):
+            return
+        cache = sampler.head_cache if self.head_side else sampler.tail_cache
         if cache is not None and self.key in cache:
             self.snapshots[epoch] = cache.get(self.key).copy()

@@ -7,43 +7,41 @@ non-zero-loss ratio (NZL), average gradient l2 norm (Figure 10), cache
 changed-elements (Figure 8) and the repeat ratio of sampled negatives
 (Figure 7).
 
-Two hot-path amenities: samplers that expose ``precompute_rows`` (the
-NSCaching array cache) get the whole split's cache-row indices resolved
-once at construction and sliced per batch, and ``profile=True`` times the
-per-phase breakdown (sample / score / cache-update / score-candidates /
-gradients / optimizer) so speedups are measurable from the CLI.  The
-``score_candidates`` phase is the model's scoring of the Alg. 3 candidate
-union: it runs *inside* the sampler's ``update()`` (the trainer attaches a
-stopwatch to samplers that expose a ``score_timer`` slot), and the report
-subtracts it from ``cache_update`` so the phases partition the hot loop
-and sum to its wall time.
+Samplers whose ``precompute_rows`` hook returns rows (the NSCaching array
+cache) get the whole split's cache-row indices resolved once and sliced
+per batch.  The trainer drives its sampler only through the hooks of
+:class:`~repro.sampling.base.NegativeSampler`.
 
-Observability: pass ``metrics`` (a
-:class:`~repro.obs.registry.MetricsRegistry`) and/or ``metrics_out`` (a
-JSONL run-log path) to instrument the run.  Either one turns the phase
-stopwatches into obs spans (the same timers ``--profile`` uses), attaches
-the registry to samplers that accept one (per-refresh cache-health
-counters), mirrors per-epoch loss/NZL/grad-norm/throughput and cumulative
-phase seconds into the registry, and — with ``metrics_out`` — streams one
-:mod:`repro.obs.runlog` record per epoch for ``repro metrics`` to
-summarise.  With neither, every instrumentation site is a ``None`` check:
-training is bit-identical to the uninstrumented loop under a fixed seed.
+Instrumentation has one probe: spans of the trainer's
+:class:`~repro.obs.trace.Tracer`.  Every hot-loop phase is a span; the
+sampler records the phases inside its own calls (``score_candidates``,
+``parallel_refresh``, ``refresh_overlap``) into the same tracer, whose
+aggregate carves nested phases out of their parents (self seconds), so
+the phase rows are disjoint and sum to the hot loop.  The views:
 
-Tracing: pass ``tracer`` (a :class:`~repro.obs.trace.Tracer`) and/or
-``trace_out`` (a JSONL trace path) to record a span timeline — every
-profile phase and epoch becomes a span, samplers with a ``tracer`` slot
-record their refresh/dispatch/collect spans into the same ring, and the
-pooled refresh merges spans shipped back from forked workers, so one
-timeline covers dispatch → gradients/optimizer → collect across
-processes.  ``close()`` writes the merged trace for ``repro trace``
-(summary, Chrome export).  Same contract as metrics: ``tracer=None``
-(the default) is bit-identical to the seed loop.
+* ``profile=True`` — :meth:`Trainer.profile_report`, the ``--profile``
+  table;
+* ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`) and/or
+  ``metrics_out`` (a JSONL run-log path) — per-epoch loss/NZL/grad-norm/
+  throughput, ``train_phase_seconds_total{phase}`` and the per-shard
+  refresh series mirrored from the aggregate, plus the sampler's
+  cache-health counters; ``metrics_out`` streams one
+  :mod:`repro.obs.runlog` record per epoch for ``repro metrics``;
+* ``tracer`` / ``trace_out`` (a JSONL trace path) — the span timeline
+  itself, merged with the spans forked refresh workers ship back;
+  ``close()`` writes it for ``repro trace``.
+
+Any of these options creates the tracer; one for ``profile``/``metrics``
+alone keeps no ring (``Tracer(capacity=0)``).  With none of them
+``tracer`` is ``None`` and every instrumentation site is a ``None``
+check: training is bit-identical to the uninstrumented loop under a
+fixed seed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import ContextManager, Iterator, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +53,7 @@ from repro.models.losses import LogisticLoss, Loss, MarginRankingLoss
 from repro.models.regularizers import L2Regularizer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runlog import RunLogWriter
-from repro.obs.trace import Span, Tracer, write_trace
+from repro.obs.trace import SpanTotals, Tracer, span, write_trace
 from repro.optim import make_optimizer
 from repro.sampling.base import NegativeSampler
 from repro.train.config import TrainConfig
@@ -63,6 +61,17 @@ from repro.utils.rng import spawn_rngs
 from repro.utils.timer import Timer
 
 __all__ = ["Trainer", "TrainingHistory"]
+
+#: Worker span aggregates mirrored into per-(mode, shard) registry
+#: counters: (span name, series, help, value of the aggregate row).
+_SHARD_SERIES: tuple[tuple[str, str, str, Callable[[SpanTotals], float]], ...] = (
+    ("shard_task", "refresh_task_seconds_total",
+     "cumulative refresh task seconds per shard", lambda t: t.seconds),
+    ("shard_task", "refresh_tasks_total",
+     "refresh tasks executed per shard", lambda t: t.calls),
+    ("queue_wait", "refresh_queue_wait_seconds_total",
+     "cumulative dispatch-to-start wait per shard", lambda t: t.seconds),
+)
 
 
 class TrainingHistory:
@@ -89,46 +98,17 @@ class TrainingHistory:
         return self.series[name].last()
 
 
-class _TracedPhase:
-    """Span + optional stopwatch around one hot-loop phase.
-
-    A dedicated slotted context manager (not ``@contextmanager``) keeps
-    the per-phase cost at two clock reads when tracing is on — the X11
-    overhead budget is measured through this path.
-    """
-
-    __slots__ = ("tracer", "name", "timer", "_span")
-
-    def __init__(self, tracer: Tracer, name: str, timer: Timer | None) -> None:
-        self.tracer = tracer
-        self.name = name
-        self.timer = timer
-        self._span: Span | None = None
-
-    def __enter__(self) -> "_TracedPhase":
-        self._span = self.tracer.start_span(self.name, "train")
-        if self.timer is not None:
-            self.timer.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.timer is not None:
-            self.timer.stop()
-        if self._span is not None:
-            self._span.end()
-
-
 class Trainer:
     """Runs the KG-embedding training loop for any sampler/model pair."""
 
     #: Phase names reported by the profiler, in hot-loop order.
     #: ``score_candidates`` and ``parallel_refresh`` nest inside
     #: ``cache_update`` (candidate scoring of the sequential refresh, and
-    #: dispatch+wait of the pooled refresh); the report makes them
+    #: dispatch+wait of the pooled refresh); self seconds make them
     #: disjoint.  ``refresh_overlap`` is the wait for an overlapped
-    #: refresh at the top of the next batch — time the refresh pipeline
-    #: failed to hide behind the gradients/optimizer phases (0 when the
-    #: workers finished first, or when overlap is off).
+    #: refresh, collected when the next batch samples (or at epoch end) —
+    #: time the refresh pipeline failed to hide behind the
+    #: gradients/optimizer phases (0 when overlap is off).
     PROFILE_PHASES = (
         "refresh_overlap", "sample", "score", "cache_update",
         "score_candidates", "parallel_refresh", "gradients", "optimizer",
@@ -159,15 +139,10 @@ class Trainer:
         self.metrics = metrics
         if tracer is None and trace_out is not None:
             tracer = Tracer()  # the trace file needs a ring to drain
+        elif tracer is None and (self.profile or metrics is not None):
+            tracer = Tracer(capacity=0)  # the phase aggregate only
         self.tracer = tracer
         self._trace_out = trace_out
-        # Phase stopwatches double as obs spans: they run under --profile
-        # *or* whenever a registry is attached.  With neither, _phase()
-        # hands back a no-op context — the seed hot loop, bit for bit.
-        self._timed = self.profile or metrics is not None
-        self.phase_timers: dict[str, Timer] = {
-            name: Timer() for name in self.PROFILE_PHASES
-        }
         self._run_log: RunLogWriter | None = None
         if metrics_out is not None:
             from repro.train.callbacks import RunLogCallback
@@ -178,48 +153,12 @@ class Trainer:
         rng_batches, rng_sampler = spawn_rngs(self.config.seed, 2)
         self._rng = rng_batches
         self.sampler.bind(model, dataset, rng_sampler)
-
-        # Samplers that score a candidate union inside update() expose a
-        # ``score_timer`` slot; when timing, the trainer plugs its own
-        # phase stopwatch in so that cost is reported as its own phase.
-        # Assigned unconditionally so a sampler handed to a new trainer
-        # stops feeding a previous trainer's timer.
-        if hasattr(self.sampler, "score_timer"):
-            self.sampler.score_timer = (
-                self.phase_timers["score_candidates"] if self._timed else None
-            )
-        # Same deal for the pooled-refresh stopwatch: the dispatch+wait of
-        # a parallel cache refresh is reported as its own phase.
-        if hasattr(self.sampler, "parallel_timer"):
-            self.sampler.parallel_timer = (
-                self.phase_timers["parallel_refresh"] if self._timed else None
-            )
-        # Samplers with a ``metrics`` slot report cache health (refresh
-        # rows, churn, per-shard task timings) into the shared registry.
-        if hasattr(self.sampler, "metrics"):
-            self.sampler.metrics = metrics
-        # Samplers with a ``tracer`` slot record refresh spans into the
-        # trainer's ring (and merge their forked workers' spans into it),
-        # so one timeline covers the whole pipeline.  Must happen before
-        # the first update(): refresh workers inherit tracing at fork.
-        if hasattr(self.sampler, "tracer"):
-            self.sampler.tracer = tracer
-
-        # Overlapped-refresh samplers hand back a collect hook: the
-        # trainer drains the in-flight dispatch at the top of every batch
-        # (and at epoch end), timing the un-hidden wait as the
-        # ``refresh_overlap`` phase.  Dirty-sync samplers take the rows
-        # every optimizer step / normalisation touches, so parameter
-        # publishes ship only the changed slices.
-        collect = getattr(self.sampler, "collect_refreshes", None)
-        self._collect_refreshes = collect if callable(collect) else None
-        mark = getattr(self.sampler, "mark_dirty_params", None)
-        self._dirty_mark = mark if callable(mark) else None
-
-        # Row-indexed samplers resolve the whole split's cache rows once;
-        # batches then carry integer slices instead of re-deriving keys.
-        precompute = getattr(self.sampler, "precompute_rows", None)
-        self._train_rows = precompute(dataset.train) if callable(precompute) else None
+        # Before the first update(): refresh workers inherit tracing at
+        # fork.  Called unconditionally, so a sampler handed to a new
+        # trainer stops feeding a previous trainer's tracer and registry.
+        self.sampler.instrument(tracer, metrics)
+        self._dirty_mark = self.sampler.dirty_mark()
+        self._train_rows = self.sampler.precompute_rows(dataset.train)
 
         self.loss = self._make_loss()
         self.optimizer = make_optimizer(
@@ -270,38 +209,19 @@ class Trainer:
         self._stop = True
 
     # -- profiling / observability ---------------------------------------------
-    def _phase(self, name: str) -> ContextManager[object]:
-        """The phase's timer/span when instrumented, else a no-op.
-
-        Three shapes: a tracer attached wraps the phase in a span (plus
-        the stopwatch when timing is also on); timing alone hands back
-        the stopwatch; neither hands back a no-op context — the seed hot
-        loop, bit for bit.
-        """
-        if self.tracer is not None:
-            return _TracedPhase(
-                self.tracer, name,
-                self.phase_timers[name] if self._timed else None,
-            )
-        return self.phase_timers[name] if self._timed else nullcontext()
-
     def phase_seconds(self) -> dict[str, float]:
-        """Accumulated seconds per hot-loop phase, made disjoint.
+        """Accumulated self seconds per hot-loop phase.
 
-        ``score_candidates`` and ``parallel_refresh`` run nested inside
-        the sampler's ``update()``, so their time is carved out of
-        ``cache_update`` here — the phases partition the hot loop and sum
-        to its wall time.  All zeros when neither ``--profile`` nor a
-        metrics registry enabled the stopwatches.
+        Self seconds exclude nested phases (``score_candidates``,
+        ``parallel_refresh`` and ``refresh_overlap`` inside the phase
+        that called the sampler), so the phases partition the hot loop
+        and sum to its wall time.  All zeros when uninstrumented.
         """
-        report = {name: timer.elapsed for name, timer in self.phase_timers.items()}
-        report["cache_update"] = max(
-            0.0,
-            report["cache_update"]
-            - report["score_candidates"]
-            - report["parallel_refresh"],
-        )
-        return report
+        tracer = self.tracer
+        return {
+            name: tracer.self_seconds(name) if tracer is not None else 0.0
+            for name in self.PROFILE_PHASES
+        }
 
     def profile_report(self) -> dict[str, float]:
         """The disjoint phase breakdown (empty unless ``profile=True``)."""
@@ -314,11 +234,12 @@ class Trainer:
 
         Runs once per epoch (never per batch), before the callbacks fire,
         so exporters observe a consistent post-epoch view.  Cumulative
-        phase seconds are mirrored with ``set_total`` — the stopwatches
-        stay the single source of truth.
+        phase and per-shard refresh seconds are mirrored from the span
+        aggregate with ``set_total`` — the spans stay the single source
+        of truth.
         """
-        registry = self.metrics
-        assert registry is not None
+        registry, tracer = self.metrics, self.tracer
+        assert registry is not None and tracer is not None
         registry.counter("train_epochs_total", "training epochs completed").inc()
         registry.counter(
             "train_samples_total", "positive triples consumed"
@@ -343,6 +264,12 @@ class Trainer:
                 "cumulative hot-loop seconds per phase (disjoint)",
                 labels={"phase": phase},
             ).set_total(seconds)
+        for (name, labels), totals in tracer.totals().items():
+            for span_name, series, help, value in _SHARD_SERIES:
+                if name == span_name:
+                    registry.counter(series, help, labels=dict(labels)).set_total(
+                        value(totals)
+                    )
 
     def cache_report(self) -> dict[str, object]:
         """The sampler's cache introspection (empty for cache-less samplers).
@@ -352,8 +279,7 @@ class Trainer:
         counts; the CLI prints this next to the phase table under
         ``--profile``.
         """
-        stats = getattr(self.sampler, "cache_stats", None)
-        return stats() if callable(stats) else {}
+        return self.sampler.cache_stats()
 
     def close(self) -> None:
         """Release sampler-held resources (refresh pool, shared memory).
@@ -362,16 +288,18 @@ class Trainer:
         can not continue on this trainer afterwards unless the sampler is
         re-bound.  Also closes the run-log writer, so an aborted run's
         JSONL ends cleanly at the last complete record (no ``run_end``),
-        and flushes the trace file when ``trace_out`` was given — spans
-        recorded so far survive an abort, like the run log does.
+        and writes the trace file when ``trace_out`` was given — spans
+        recorded so far survive an abort, like the run log does.  The
+        sampler goes first: releasing it collects an in-flight refresh,
+        whose worker spans belong in the trace.
         """
-        if self._run_log is not None:
-            self._run_log.close()
-        if self.tracer is not None and self._trace_out is not None:
-            write_trace(self._trace_out, self.tracer.records())
-        release = getattr(self.sampler, "close", None)
-        if callable(release):
-            release()
+        try:
+            self.sampler.close()
+        finally:
+            if self._run_log is not None:
+                self._run_log.close()
+            if self.tracer is not None and self._trace_out is not None:
+                write_trace(self._trace_out, self.tracer.records())
 
     # -- main loop -----------------------------------------------------------------
     def run(self, epochs: int | None = None) -> TrainingHistory:
@@ -408,35 +336,25 @@ class Trainer:
         losses: list[float] = []
         nzl_values: list[float] = []
         grad_norms: list[float] = []
-        epoch_span = (
-            self.tracer.start_span("epoch", "train", args={"epoch": epoch})
-            if self.tracer is not None
-            else None
-        )
         epoch_timer = Timer()
-        try:
-            with epoch_timer, self._timer:
-                for start in range(0, len(train), self.config.batch_size):
-                    indices = order[start : start + self.config.batch_size]
-                    batch = train[indices]
-                    rows = (
-                        self._train_rows.take(indices)
-                        if self._train_rows is not None
-                        else None
-                    )
-                    batch_stats = self.train_batch(batch, rows)
-                    losses.append(batch_stats["loss"])
-                    nzl_values.append(batch_stats["nzl"])
-                    grad_norms.append(batch_stats["grad_norm"])
-                # The last batch's overlapped refresh is still in flight:
-                # wait for it inside the epoch clock so epoch_seconds stays
-                # honest about the full refresh cost.
-                if self._collect_refreshes is not None:
-                    with self._phase("refresh_overlap"):
-                        self._collect_refreshes()
-        finally:
-            if epoch_span is not None:
-                epoch_span.end()
+        epoch_span = span(self.tracer, "epoch", "train", {"epoch": epoch})
+        with epoch_span, epoch_timer, self._timer:
+            for start in range(0, len(train), self.config.batch_size):
+                indices = order[start : start + self.config.batch_size]
+                batch = train[indices]
+                rows = (
+                    self._train_rows.take(indices)
+                    if self._train_rows is not None
+                    else None
+                )
+                batch_stats = self.train_batch(batch, rows)
+                losses.append(batch_stats["loss"])
+                nzl_values.append(batch_stats["nzl"])
+                grad_norms.append(batch_stats["grad_norm"])
+            # The last batch's overlapped refresh is still in flight: wait
+            # for it inside the epoch clock so epoch_seconds stays honest
+            # about the full refresh cost.
+            self.sampler.collect_refreshes()
 
         stats: dict[str, float] = {
             "loss": float(np.mean(losses)) if losses else 0.0,
@@ -447,9 +365,9 @@ class Trainer:
         if self.negative_tracker is not None:
             stats["repeat_ratio"] = self.negative_tracker.repeat_ratio()
             self.negative_tracker.end_epoch()
-        changed = getattr(self.sampler, "changed_elements", None)
-        if callable(changed):
-            stats["cache_changes"] = float(changed(reset=True))
+        changed = self.sampler.changed_elements(reset=True)
+        if changed is not None:
+            stats["cache_changes"] = float(changed)
         return stats
 
     def train_batch(self, batch: np.ndarray, rows: object = None) -> dict[str, float]:
@@ -458,14 +376,9 @@ class Trainer:
         ``rows`` carries precomputed cache-row indices for row-indexed
         samplers (sliced from the split-wide precomputation).
         """
-        # Collect the previous batch's overlapped refresh before touching
-        # the caches; whatever wait is left is overlap the step failed to
-        # hide.  (sample() would collect defensively anyway — collecting
-        # here attributes the wait to its own phase, not ``sample``.)
-        if self._collect_refreshes is not None:
-            with self._phase("refresh_overlap"):
-                self._collect_refreshes()
-        with self._phase("sample"):
+        # sample() first collects the previous batch's overlapped refresh,
+        # recording the wait as the nested ``refresh_overlap`` phase.
+        with span(self.tracer, "sample", "train"):
             negatives = (
                 self.sampler.sample(batch, rows)
                 if rows is not None
@@ -474,20 +387,20 @@ class Trainer:
         if self.negative_tracker is not None:
             self.negative_tracker.record(negatives)
 
-        with self._phase("score"):
+        with span(self.tracer, "score", "train"):
             pos_scores = self.model.score_triples(batch)
             neg_scores = self.model.score_triples(negatives)
             loss_values = self.loss.value(pos_scores, neg_scores)
             d_pos, d_neg = self.loss.score_grads(pos_scores, neg_scores)
 
         # Alg. 2 step 8: the cache refresh precedes the embedding update.
-        with self._phase("cache_update"):
+        with span(self.tracer, "cache_update", "train"):
             if rows is not None:
                 self.sampler.update(batch, negatives, rows)
             else:
                 self.sampler.update(batch, negatives)
 
-        with self._phase("gradients"):
+        with span(self.tracer, "gradients", "train"):
             bag = self.model.grad_triples(batch, d_pos)
             bag.merge(self.model.grad_triples(negatives, d_neg))
             if self.regularizer is not None:
@@ -496,7 +409,7 @@ class Trainer:
                 )
             grad_norm = bag.global_norm()
 
-        with self._phase("optimizer"):
+        with span(self.tracer, "optimizer", "train"):
             self.optimizer.step(self.model.params, bag, dirty_mark=self._dirty_mark)
 
             if self.config.normalize:

@@ -1,4 +1,9 @@
-"""Wall-clock timing helpers used by the benchmark harness and trainer."""
+"""Wall-clock timing helpers used by the benchmark harness and trainer.
+
+:class:`Timer` is the trainer's *training clock* (``train_seconds``,
+``epoch_seconds``), not a profiling probe: phase timings are spans of
+:class:`repro.obs.trace.Tracer`.
+"""
 
 from __future__ import annotations
 
@@ -11,16 +16,16 @@ class Timer:
     """A resumable wall-clock stopwatch.
 
     Two properties make this safe for *sampling-based* readers — code
-    that reads a shared stopwatch mid-run (the trainer's run-log
-    exporter, the obs phase spans):
+    that reads a shared stopwatch mid-run (an evaluation callback reading
+    the training clock):
 
     * :attr:`elapsed` always includes the in-flight interval while the
       stopwatch is running, so a mid-run read is never stale;
     * reading never perturbs the accumulated state — ``stop()`` later
       returns exactly what it would have without the read.
 
-    :attr:`intervals` counts completed start/stop cycles, which turns any
-    span timer into a (total seconds, calls) pair — mean seconds per
+    :attr:`intervals` counts completed start/stop cycles, which turns the
+    stopwatch into a (total seconds, calls) pair — mean seconds per
     timed region for free.
 
     Example

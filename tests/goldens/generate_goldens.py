@@ -131,9 +131,17 @@ def _cache_state(cache: Any, index: Any, prefix: str) -> dict[str, np.ndarray]:
 
 
 def run_config(
-    config: dict[str, Any], dataset: KGDataset, **overrides: Any
+    config: dict[str, Any],
+    dataset: KGDataset,
+    trainer_kwargs: dict[str, Any] | None = None,
+    **overrides: Any,
 ) -> dict[str, np.ndarray]:
-    """Train one config; return its fingerprint arrays (unprefixed)."""
+    """Train one config; return its fingerprint arrays (unprefixed).
+
+    ``trainer_kwargs`` pass through to :class:`Trainer` (instrumentation
+    options, which must leave the fingerprint unchanged); ``overrides``
+    replace sampler options.
+    """
     model = make_model(
         config["model"], dataset.n_entities, dataset.n_relations, DIM, rng=0
     )
@@ -149,6 +157,7 @@ def run_config(
             epochs=EPOCHS, batch_size=BATCH_SIZE,
             learning_rate=LEARNING_RATE, seed=0,
         ),
+        **(trainer_kwargs or {}),
     )
     try:
         history = trainer.run()

@@ -14,6 +14,7 @@ from repro.obs.trace import (
     chrome_trace,
     overlap_report,
     read_trace,
+    span_totals,
     validate_chrome_trace,
     write_trace,
 )
@@ -71,7 +72,7 @@ class TestSpan:
 class TestTracerRing:
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
-            Tracer(capacity=0)
+            Tracer(capacity=-1)
 
     def test_overwrites_oldest_and_counts_drops(self):
         tracer = Tracer(capacity=3)
@@ -103,20 +104,138 @@ class TestTracerRing:
         assert record["args"] == {"shard": 1}
 
     def test_thread_safety_under_concurrent_recording(self):
+        import sys
+
         tracer = Tracer(capacity=4096)
-        n_threads, per_thread = 8, 200
+        n_threads, per_thread = 8, 100
 
         def work():
             for _ in range(per_thread):
-                tracer.start_span("t").end()
+                with tracer.start_span("t"):
+                    tracer.start_span("inner").end()
 
-        threads = [threading.Thread(target=work) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(tracer) == n_threads * per_thread
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(tracer) == 2 * n_threads * per_thread
         assert tracer.dropped == 0
+        # No lost aggregate updates, and each thread's stack saw only its
+        # own spans: every "inner" is charged to its own thread's "t".
+        outer, inner = tracer.totals()[("t", ())], tracer.totals()[("inner", ())]
+        assert outer.calls == inner.calls == n_threads * per_thread
+        assert outer.self_seconds == pytest.approx(
+            outer.seconds - inner.seconds, abs=1e-9
+        )
+
+
+class TestSpanAggregate:
+    """The running per-name totals every trainer view reads."""
+
+    def test_self_seconds_exclude_direct_children_only(self):
+        tracer = Tracer(capacity=8)
+        with tracer.start_span("parent"):
+            with tracer.start_span("child"):
+                with tracer.start_span("grandchild"):
+                    pass
+            with tracer.start_span("child"):
+                pass
+        totals = tracer.totals()
+        parent, child, grandchild = (
+            totals[(name, ())] for name in ("parent", "child", "grandchild")
+        )
+        assert (parent.calls, child.calls, grandchild.calls) == (1, 2, 1)
+        assert parent.self_seconds == pytest.approx(
+            parent.seconds - child.seconds, abs=1e-12
+        )
+        assert child.self_seconds == pytest.approx(
+            child.seconds - grandchild.seconds, abs=1e-12
+        )
+        assert grandchild.self_seconds == grandchild.seconds
+        assert tracer.self_seconds("parent") == parent.self_seconds
+        assert tracer.self_seconds("never") == 0.0
+
+    def test_siblings_after_a_closed_span_are_not_its_children(self):
+        tracer = Tracer(capacity=8)
+        tracer.start_span("first").end()
+        tracer.start_span("second").end()
+        totals = tracer.totals()
+        for name in ("first", "second"):
+            assert totals[(name, ())].self_seconds == totals[(name, ())].seconds
+
+    def test_other_threads_never_nest(self):
+        tracer = Tracer(capacity=8)
+        with tracer.start_span("outer"):
+            worker = threading.Thread(
+                target=lambda: tracer.start_span("elsewhere").end()
+            )
+            worker.start()
+            worker.join()
+        outer = tracer.totals()[("outer", ())]
+        assert outer.self_seconds == outer.seconds
+
+    def test_capacity_zero_keeps_only_the_aggregate(self):
+        tracer = Tracer(capacity=0)
+        with tracer.start_span("phase"):
+            pass
+        tracer.ingest((_span_record(name="shipped"),))
+        assert len(tracer) == 0
+        assert tracer.records() == [] and tracer.drain() == []
+        assert tracer.dropped == 0
+        totals = tracer.totals()
+        assert totals[("phase", ())].calls == 1
+        assert totals[("shipped", ())].seconds == 1.0
+
+    def test_worker_spans_keyed_by_mode_and_shard(self):
+        tracer = Tracer(capacity=0)
+        tracer.ingest([
+            _span_record(name="shard_task", ts=float(i), dur=0.5,
+                         args={"mode": mode, "shard": shard, "batch": i})
+            for i, (mode, shard) in enumerate(
+                [("head", 0), ("head", 0), ("tail", 1)]
+            )
+        ])
+        totals = tracer.totals()
+        head0 = totals[("shard_task", (("mode", "head"), ("shard", "0")))]
+        tail1 = totals[("shard_task", (("mode", "tail"), ("shard", "1")))]
+        assert (head0.calls, head0.seconds) == (2, 1.0)
+        assert (tail1.calls, tail1.seconds) == (1, 0.5)
+        assert ("shard_task", ()) not in totals
+
+    def test_ingest_nests_records_of_one_thread(self):
+        tracer = Tracer(capacity=0)
+        tracer.ingest([
+            _span_record(name="outer", ts=0.0, dur=10.0),
+            _span_record(name="inner", ts=1.0, dur=4.0),
+        ])
+        assert tracer.self_seconds("outer") == pytest.approx(6.0)
+        assert tracer.self_seconds("inner") == pytest.approx(4.0)
+
+    def test_trace_file_reproduces_the_live_aggregate(self, tmp_path):
+        tracer = Tracer(capacity=64)
+        for _ in range(3):
+            with tracer.start_span("epoch", "train"):
+                with tracer.start_span("sample", "train"):
+                    with tracer.start_span("refresh_overlap", "train"):
+                        pass
+                tracer.start_span("optimizer", "train").end()
+        path = write_trace(tmp_path / "trace.jsonl", tracer.records())
+        offline = span_totals(read_trace(path))
+        live = tracer.totals()
+        assert offline.keys() == live.keys()
+        for key, row in live.items():
+            assert offline[key].calls == row.calls
+            assert offline[key].seconds == pytest.approx(row.seconds, abs=1e-9)
+            assert offline[key].self_seconds == pytest.approx(
+                row.self_seconds, abs=1e-9
+            )
 
 
 class TestTraceFiles:

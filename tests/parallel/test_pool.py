@@ -249,7 +249,6 @@ class TestPoolMechanics:
 
     def test_results_carry_task_telemetry(self):
         import os
-        import time
 
         pool, caches = _make_pool(2, use_processes=False)
         try:
@@ -259,20 +258,34 @@ class TestPoolMechanics:
             for result in results:
                 task = by_key[(result.mode, result.shard)]
                 assert result.n_rows == len(task.rows)
-                assert result.seconds > 0
                 assert result.worker_pid == os.getpid()  # inline mode
-                # The helper builds tasks without an enqueue stamp, so the
-                # queue wait defaults to "no wait" rather than garbage.
-                assert result.queue_wait == 0.0
-            stamped = [
-                ShardTask(
-                    t.mode, t.shard, t.epoch, 1, t.anchors, t.relations,
-                    t.rows, enqueued_at=time.monotonic(),
-                )
-                for t in tasks
-            ]
-            for result in pool.refresh(stamped):
-                assert result.queue_wait >= 0.0
+                # An untraced pool ships no timings at all.
+                assert result.spans == ()
+        finally:
+            pool.close()
+            for store in caches.values():
+                store.close()
+
+    def test_traced_results_carry_task_and_queue_wait_spans(self):
+        """A tracing pool stamps every task at dispatch; each result ships
+        its shard_task span and the queue_wait span before it."""
+        pool, caches = _make_pool(2, use_processes=False, trace=True)
+        try:
+            tasks = _tasks(caches)
+            for result in pool.refresh(tasks):
+                spans = {span["name"]: span for span in result.spans}
+                assert set(spans) == {"shard_task", "queue_wait"}
+                for span in spans.values():
+                    assert span["cat"] == "refresh_worker"
+                    assert span["args"]["mode"] == result.mode
+                    assert span["args"]["shard"] == result.shard
+                task, wait = spans["shard_task"], spans["queue_wait"]
+                assert task["dur"] > 0
+                assert wait["dur"] >= 0
+                # The wait ends exactly where the task starts.
+                assert wait["ts"] + wait["dur"] == pytest.approx(task["ts"], abs=1e-9)
+            # The caller's tasks stay unstamped: dispatch stamps copies.
+            assert all(task.enqueued_at == 0.0 for task in tasks)
         finally:
             pool.close()
             for store in caches.values():

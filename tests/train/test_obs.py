@@ -80,13 +80,62 @@ class TestRegistryWiring:
         # ... but the partition is live (spans ran for the registry).
         assert sum(trainer.phase_seconds().values()) > 0
 
-    def test_metrics_setter_clears_handles(self, tiny_kg):
+    def test_instrument_none_clears_handles(self, tiny_kg):
         sampler = NSCachingSampler(cache_size=4, candidate_size=4)
         trainer = _trainer(tiny_kg, sampler=sampler, metrics=MetricsRegistry())
         assert sampler.metrics is trainer.metrics
-        sampler.metrics = None
+        assert sampler.tracer is trainer.tracer
+        sampler.instrument(None, None)
         assert sampler.metrics is None
+        assert sampler.tracer is None
         assert sampler._mh is None
+
+
+class TestSamplerHooks:
+    def test_profile_or_metrics_tracer_keeps_no_ring(self, tiny_kg, tmp_path):
+        for kwargs in (
+            {"profile": True},
+            {"metrics": MetricsRegistry()},
+            {"metrics_out": str(tmp_path / "run.jsonl")},
+        ):
+            trainer = _trainer(tiny_kg, epochs=1, **kwargs)
+            trainer.run()
+            assert trainer.tracer is not None and trainer.tracer.capacity == 0
+            assert trainer.sampler.tracer is trainer.tracer
+            assert trainer.tracer.records() == []
+            assert trainer.phase_seconds()["sample"] > 0
+            trainer.close()
+        traced = _trainer(tiny_kg, trace_out=str(tmp_path / "trace.jsonl"))
+        assert traced.tracer.capacity > 0
+        traced.close()
+
+    def test_dirty_mark_only_for_pooled_refresh(self, tiny_kg):
+        from repro.sampling import BernoulliSampler
+
+        assert BernoulliSampler().dirty_mark() is None
+        sequential = _trainer(tiny_kg)
+        assert sequential._dirty_mark is None
+        sequential.close()
+        pooled = _trainer(
+            tiny_kg,
+            sampler=NSCachingSampler(
+                cache_size=4, candidate_size=4, cache_backend="sharded-array",
+                n_shards=2, refresh_workers=2, refresh_processes=False,
+            ),
+        )
+        assert pooled._dirty_mark == pooled.sampler.mark_dirty_params
+        pooled.close()
+
+    def test_stateless_sampler_hook_defaults(self, tiny_kg):
+        from repro.sampling import BernoulliSampler
+
+        sampler = BernoulliSampler()
+        sampler.instrument(None, MetricsRegistry())
+        assert sampler.precompute_rows(tiny_kg.train) is None
+        assert sampler.changed_elements(reset=True) is None
+        assert sampler.cache_stats() == {}
+        sampler.collect_refreshes()
+        sampler.close()
 
 
 class TestBitIdentical:
@@ -148,6 +197,21 @@ class TestRunLog:
         epochs = epoch_records(read_run_log(path))
         assert epochs and all("cache" not in r for r in epochs)
 
+    def test_continued_run_keeps_logging(self, tiny_kg, tmp_path):
+        """A second run() on the same trainer appends its records: only
+        Trainer.close() ends the run log."""
+        path = tmp_path / "run.jsonl"
+        trainer = _trainer(tiny_kg, metrics_out=str(path))
+        trainer.run(1)
+        trainer.run(1)
+        trainer.close()
+        records = read_run_log(path)
+        assert [r["type"] for r in records] == [
+            "run_meta", "epoch", "run_end", "run_meta", "epoch", "run_end",
+        ]
+        assert [r["epoch"] for r in epoch_records(records)] == [0, 1]
+        assert records[-1]["epochs"] == 2
+
     def test_close_without_run_leaves_partial_but_valid_log(
         self, tiny_kg, tmp_path
     ):
@@ -185,16 +249,14 @@ class TestParallelRefreshObservability:
             trainer.run()
             report = trainer.profile_report()
             assert report["parallel_refresh"] > 0
-            # Inline pool execution: the nested scoring happens inside the
-            # pool's own timer, so cache_update is carved down by it.
-            raw = trainer.phase_timers["cache_update"].elapsed
+            # Inline pool execution: the nested scoring runs inside the
+            # pool's parallel_refresh span (workers record no
+            # score_candidates), so cache_update is carved down by it.
+            assert report["score_candidates"] == 0.0
+            totals = trainer.tracer.totals()
             assert report["cache_update"] == pytest.approx(
-                max(
-                    0.0,
-                    raw
-                    - report["score_candidates"]
-                    - report["parallel_refresh"],
-                )
+                totals[("cache_update", ())].seconds
+                - totals[("parallel_refresh", ())].seconds
             )
             total, wall = sum(report.values()), trainer.train_seconds
             assert total <= wall
@@ -224,11 +286,21 @@ class TestParallelRefreshObservability:
             trainer.run()
         finally:
             trainer.close()
-        assert registry.value(
-            "refresh_tasks_total", labels={"mode": "head", "shard": 0}
-        ) > 0
-        hist = registry.histogram("refresh_task_seconds")
-        assert hist.count > 0
+        # The per-shard series mirror the worker spans' aggregate.
+        totals = trainer.tracer.totals()
+        for mode in ("head", "tail"):
+            for shard in (0, 1):
+                labels = {"mode": mode, "shard": shard}
+                task = totals[("shard_task", (("mode", mode), ("shard", str(shard))))]
+                wait = totals[("queue_wait", (("mode", mode), ("shard", str(shard))))]
+                assert task.calls > 0
+                assert registry.value("refresh_tasks_total", labels=labels) == task.calls
+                assert registry.value(
+                    "refresh_task_seconds_total", labels=labels
+                ) == task.seconds
+                assert registry.value(
+                    "refresh_queue_wait_seconds_total", labels=labels
+                ) == wait.seconds
 
     def test_registry_tracks_param_syncs(self, tiny_kg):
         """Every pooled refresh publishes parameters; the sync counters
@@ -261,7 +333,12 @@ class TestParallelRefreshObservability:
         finally:
             trainer.close()
         # Inline overlap runs the tasks at dispatch, so the collect wait
-        # is pure bookkeeping — but it must be counted, and the sync
-        # counters must flow exactly as in the synchronous pooled mode.
-        assert registry.value("refresh_overlap_wait_seconds_total") > 0
+        # is pure bookkeeping — but it must be counted as the
+        # refresh_overlap phase, and the sync counters must flow exactly
+        # as in the synchronous pooled mode.
+        overlap = registry.value(
+            "train_phase_seconds_total", labels={"phase": "refresh_overlap"}
+        )
+        assert overlap > 0
+        assert overlap == trainer.phase_seconds()["refresh_overlap"]
         assert registry.value("param_sync_bytes_total") > 0

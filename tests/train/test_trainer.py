@@ -158,7 +158,8 @@ class TestProfiling:
         trainer = _trainer(tiny_kg)
         trainer.run()
         assert trainer.profile_report() == {}
-        assert all(t.elapsed == 0.0 for t in trainer.phase_timers.values())
+        assert trainer.tracer is None
+        assert all(seconds == 0.0 for seconds in trainer.phase_seconds().values())
 
     def test_profile_records_all_phases(self, tiny_kg):
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
@@ -172,13 +173,15 @@ class TestProfiling:
         trainer.run()
         report = trainer.profile_report()
         assert set(report) == set(Trainer.PROFILE_PHASES)
-        # parallel_refresh only runs with refresh_workers >= 2 (covered in
-        # tests/parallel); every sequential-path phase must have ticked.
-        assert report["parallel_refresh"] == 0.0
+        # parallel_refresh and refresh_overlap only run with
+        # refresh_workers >= 2 (covered in tests/parallel); every
+        # sequential-path phase must have ticked.
+        pooled = ("parallel_refresh", "refresh_overlap")
+        assert all(report[name] == 0.0 for name in pooled)
         assert all(
             seconds > 0
             for name, seconds in report.items()
-            if name != "parallel_refresh"
+            if name not in pooled
         )
 
     def test_profile_reports_score_candidates_phase(self, tiny_kg):
@@ -215,7 +218,7 @@ class TestProfiling:
         assert total >= 0.5 * wall, (report, wall)
 
     def test_profile_score_candidates_excluded_from_cache_update(self, tiny_kg):
-        """The report carves the nested scoring time out of cache_update."""
+        """The report carves the nested scoring spans out of cache_update."""
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
         trainer = Trainer(
             model,
@@ -226,14 +229,15 @@ class TestProfiling:
         )
         trainer.run()
         report = trainer.profile_report()
-        raw_update = trainer.phase_timers["cache_update"].elapsed
+        totals = trainer.tracer.totals()
         assert report["cache_update"] == pytest.approx(
-            raw_update - report["score_candidates"]
+            totals[("cache_update", ())].seconds
+            - totals[("score_candidates", ())].seconds
         )
 
     def test_reused_sampler_detached_from_previous_profiler(self, tiny_kg):
         """A sampler handed to a second, non-profiled trainer must stop
-        feeding the first trainer's score_candidates stopwatch."""
+        recording score_candidates spans into the first trainer's tracer."""
         sampler = NSCachingSampler(cache_size=4, candidate_size=4)
         model = make_model("TransE", tiny_kg.n_entities, tiny_kg.n_relations, 8, rng=0)
         profiled = Trainer(
@@ -246,7 +250,7 @@ class TestProfiling:
         Trainer(
             model2, tiny_kg, sampler, TrainConfig(epochs=1, batch_size=64)
         ).run()
-        assert sampler.score_timer is None
+        assert sampler.tracer is None
         assert profiled.profile_report()["score_candidates"] == recorded
 
     def test_profile_score_candidates_zero_for_stateless_sampler(self, tiny_kg):

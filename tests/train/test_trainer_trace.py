@@ -1,10 +1,18 @@
 """Trainer tracing: bit-identity contract, span coverage, worker merge."""
 
 import numpy as np
+import pytest
 
 from repro.core.nscaching import NSCachingSampler
 from repro.models import make_model
-from repro.obs.trace import Tracer, chrome_trace, read_trace, validate_chrome_trace
+from repro.obs.runlog import read_run_log
+from repro.obs.trace import (
+    Tracer,
+    chrome_trace,
+    read_trace,
+    span_totals,
+    validate_chrome_trace,
+)
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
 
@@ -23,7 +31,7 @@ def _trainer(tiny_kg, *, sampler=None, epochs=2, **kwargs):
     )
 
 
-def _parallel_sampler():
+def _parallel_sampler(**kwargs):
     return NSCachingSampler(
         cache_size=4,
         candidate_size=4,
@@ -31,7 +39,19 @@ def _parallel_sampler():
         n_shards=2,
         refresh_workers=2,
         refresh_processes=False,  # inline: deterministic, fork-free
+        **kwargs,
     )
+
+
+def _assert_run_end_matches_trace(run_log, trace):
+    """run_end.phase_seconds equals the trace file's per-phase self time."""
+    run_end = read_run_log(run_log)[-1]
+    assert run_end["type"] == "run_end"
+    totals = span_totals(read_trace(trace))
+    for phase in Trainer.PROFILE_PHASES:
+        row = totals.get((phase, ()))
+        expected = row.self_seconds if row is not None else 0.0
+        assert run_end["phase_seconds"][phase] == pytest.approx(expected, abs=1e-5)
 
 
 def _params(trainer):
@@ -96,7 +116,7 @@ class TestSequentialTrace:
             ("train", "gradients"),
             ("train", "optimizer"),
             ("train", "cache_update"),
-            ("refresh", "refresh_side"),
+            ("train", "score_candidates"),
         ):
             assert expected in names, f"missing span {expected}"
         epochs = [r for r in records if r["name"] == "epoch"]
@@ -108,14 +128,16 @@ class TestSequentialTrace:
         assert trainer.sampler.tracer is tracer
         trainer.close()
 
-    def test_tracing_composes_with_profile_timers(self, tiny_kg):
-        trainer = _trainer(tiny_kg, tracer=Tracer(), profile=True)
+    def test_profile_reads_the_attached_tracer(self, tiny_kg):
+        tracer = Tracer()
+        trainer = _trainer(tiny_kg, tracer=tracer, profile=True)
         trainer.run()
-        # Spans and timers measure the same phases independently.
-        assert trainer.profile_report()["gradients"] > 0
-        assert any(
-            r["name"] == "gradients" for r in trainer.tracer.records()
-        )
+        # One probe: the profile table is the tracer's phase aggregate.
+        assert trainer.tracer is tracer
+        report = trainer.profile_report()
+        assert report["gradients"] > 0
+        assert report["gradients"] == tracer.self_seconds("gradients")
+        assert any(r["name"] == "gradients" for r in tracer.records())
         trainer.close()
 
     def test_close_flushes_trace_of_aborted_run(self, tiny_kg, tmp_path):
@@ -124,6 +146,15 @@ class TestSequentialTrace:
         trainer.run(1)  # "abort" after one epoch: close() must still write
         trainer.close()
         assert any(r["name"] == "epoch" for r in read_trace(path))
+
+    def test_run_end_phase_seconds_match_trace_file(self, tiny_kg, tmp_path):
+        run_log, trace = tmp_path / "run.jsonl", tmp_path / "trace.jsonl"
+        trainer = _trainer(
+            tiny_kg, metrics_out=str(run_log), trace_out=str(trace), profile=True
+        )
+        trainer.run()
+        trainer.close()
+        _assert_run_end_matches_trace(run_log, trace)
 
     def test_spans_validate_as_chrome_trace(self, tiny_kg, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -155,9 +186,9 @@ class TestParallelTrace:
             assert record["args"]["mode"] in ("head", "tail")
             assert record["args"]["rows"] >= 0
             assert "shard" in record["args"]
-        # The pool's dispatch span marks where the trainer handed off.
+        # The parallel_refresh phase span marks where the trainer handed off.
         assert any(
-            r["cat"] == "refresh" and r["name"] in ("dispatch", "refresh")
+            r["cat"] == "train" and r["name"] == "parallel_refresh"
             for r in records
         )
 
@@ -190,17 +221,47 @@ class TestParallelTrace:
         assert {"train", "refresh_worker"} <= cats
 
 
+    def test_close_writes_in_flight_batch_of_aborted_overlap_run(
+        self, tiny_kg, tmp_path
+    ):
+        """An aborted overlapped run leaves one refresh in flight; close()
+        collects it (ingesting its worker spans) before writing the trace."""
+        path = tmp_path / "trace.jsonl"
+        trainer = _trainer(
+            tiny_kg,
+            sampler=_parallel_sampler(refresh_overlap=True),
+            trace_out=str(path),
+        )
+        step, steps = trainer.optimizer.step, []
+
+        def failing_step(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 2:
+                raise RuntimeError("abort")
+            return step(*args, **kwargs)
+
+        trainer.optimizer.step = failing_step
+        with pytest.raises(RuntimeError, match="abort"):
+            trainer.run()
+        trainer.close()
+        in_file = [r for r in read_trace(path) if r["name"] == "shard_task"]
+        in_ring = [r for r in trainer.tracer.records() if r["name"] == "shard_task"]
+        assert len(in_file) == len(in_ring)
+        assert {r["args"]["batch"] for r in in_file} == {0, 1}
+
+
 class TestSamplerTracing:
     def test_sequential_refresh_span_args(self, tiny_kg):
         tracer = Tracer()
         trainer = _trainer(tiny_kg, tracer=tracer)
         trainer.run(1)
         sides = [
-            r for r in tracer.records() if r["name"] == "refresh_side"
+            r for r in tracer.records() if r["name"] == "score_candidates"
         ]
         assert sides
         modes = {r["args"]["mode"] for r in sides}
         assert modes == {"head", "tail"}
+        assert all(r["args"]["rows"] > 0 for r in sides)
         trainer.close()
 
     def test_pool_inherits_trace_flag(self, tiny_kg):
@@ -250,3 +311,23 @@ class TestForkedWorkerTrace:
         }
         assert worker_pids, "no worker spans shipped back"
         assert os.getpid() not in worker_pids
+
+    def test_overlapped_run_end_matches_trace_file(self, tiny_kg, tmp_path):
+        run_log, trace = tmp_path / "run.jsonl", tmp_path / "trace.jsonl"
+        sampler = NSCachingSampler(
+            cache_size=4,
+            candidate_size=4,
+            cache_backend="sharded-array",
+            n_shards=2,
+            refresh_workers=2,
+            refresh_overlap=True,
+        )
+        trainer = _trainer(
+            tiny_kg, sampler=sampler, metrics_out=str(run_log), trace_out=str(trace)
+        )
+        try:
+            trainer.run()
+        finally:
+            trainer.close()
+        _assert_run_end_matches_trace(run_log, trace)
+        assert read_run_log(run_log)[-1]["phase_seconds"]["refresh_overlap"] > 0
